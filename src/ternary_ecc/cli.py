@@ -42,15 +42,26 @@ def _load_binary(path: str | Path) -> BinaryBlockCode:
 def _load_plan(path: str | Path) -> construct_mod.ConstructionPlan:
     plan_path = Path(path)
     data = json.loads(plan_path.read_text(encoding="ascii"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a plan file holds one JSON object")
+    if not isinstance(data.get("outer"), str):
+        raise ValueError(f"{path}: 'outer' must be a file name")
+    inner_paths = data.get("inner")
+    if not isinstance(inner_paths, dict) or not all(
+        isinstance(inner_path, str) for inner_path in inner_paths.values()
+    ):
+        raise ValueError(f"{path}: 'inner' must map weights to file names")
+    dbmin, q = data.get("dbmin"), data.get("q", 3)
+    for key, value in (("dbmin", dbmin), ("q", q)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{path}: {key!r} must be an integer")
     base = plan_path.parent
     outer = _load_binary(base / data["outer"])
     inner = {
         int(weight): _load_binary(base / inner_path)
-        for weight, inner_path in data["inner"].items()
+        for weight, inner_path in inner_paths.items()
     }
-    return construct_mod.ConstructionPlan(
-        outer, inner, int(data["dbmin"]), int(data.get("q", 3))
-    )
+    return construct_mod.ConstructionPlan(outer, inner, dbmin, q)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
@@ -233,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ternary-ecc",
         description="Channel coding toolkit for the non-symmetric ternary channel.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker cap (reserved; current build is sequential)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,10 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
-
-import numpy as np
-from scipy import optimize, sparse
+from typing import Callable, Sequence
 
 from .construct import ConstructionPlan, build_code
 from .core import BinaryBlockCode, Code, Word
@@ -70,20 +67,28 @@ class CliqueResult:
         return len(self.members)
 
 
-def _symbol_matrix(words: list[Word]) -> np.ndarray:
-    return np.array([w.symbols for w in words], dtype=np.int8)
+def _dist_b_masks(
+    words: Sequence[Word], lo: int, hi: int | None = None
+) -> tuple[int, ...]:
+    """Bitmask rows of the relation lo <= dist_b(u, v) <= hi over all word pairs.
 
+    Each row of distances is computed once and cut at both ends; hi=None
+    leaves it open above. Words are distinct, so lo >= 1 keeps every word out
+    of its own row (adjacency) and lo = 0 keeps it in (metric balls). numpy
+    is imported here, not at module level, so that only graph building pays
+    for it.
+    """
+    import numpy as np
 
-def _adjacency_masks(symbols: np.ndarray, dbmin: int) -> tuple[int, ...]:
-    """Bitmask rows of the relation dist_b(u, v) >= dbmin over all word pairs."""
+    symbols = np.array([w.symbols for w in words], dtype=np.int8)
     nonzero = symbols != 0
     masks = []
-    for i in range(symbols.shape[0]):
+    for i in range(len(words)):
         differ = symbols != symbols[i]
-        two_step = differ & nonzero & nonzero[i]
-        db = differ.sum(axis=1) + two_step.sum(axis=1)
-        row = db >= dbmin
-        row[i] = False
+        db = differ.sum(axis=1) + (differ & nonzero & nonzero[i]).sum(axis=1)
+        row = db >= lo
+        if hi is not None:
+            row &= db <= hi
         masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
     return tuple(masks)
 
@@ -113,7 +118,7 @@ def build_unrestricted_graph(
         for symbols in product(range(3), repeat=n)
         if wmin <= sum(1 for s in symbols if s) <= wmax
     ]
-    masks = _adjacency_masks(_symbol_matrix(words), dbmin)
+    masks = _dist_b_masks(words, max(dbmin, 1))
     return SearchGraph(
         tuple(words), (1,) * len(words), masks, dbmin, wmin, wmax, word_symmetry=True
     )
@@ -144,7 +149,7 @@ def build_restricted_graph(
     weights = tuple(weight_oracle(sum(w.symbols)) for w in words)
     if any(weight < 1 for weight in weights):
         raise ValueError("vertex weights must be >= 1")
-    masks = _adjacency_masks(_symbol_matrix(words), dbmin)
+    masks = _dist_b_masks(words, max(dbmin, 1))
     return SearchGraph(
         tuple(words), weights, masks, dbmin, wmin, wmax, word_symmetry=True
     )
@@ -260,37 +265,19 @@ def _orbit_masks(
     return {v: groups[key] for v, key in members}
 
 
-def _ball_masks(graph: SearchGraph) -> list[int] | None:
-    """Radius-t_A metric balls around every vertex, as candidate color classes.
-
-    Any subset of such a ball is pairwise below dbmin, hence independent in
-    the compatibility graph; covering candidates with balls colors them far
-    tighter than first-fit when the graph is dense.
-    """
-    radius = (graph.dbmin - 1) // 2
-    if radius < 1:
-        return None
-    symbols = _symbol_matrix(list(graph.vertices))
-    nonzero = symbols != 0
-    balls = []
-    for i in range(symbols.shape[0]):
-        differ = symbols != symbols[i]
-        db = differ.sum(axis=1) + (differ & nonzero & nonzero[i]).sum(axis=1)
-        row = db <= radius
-        balls.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    return balls
-
-
-def _exact_milp(graph: SearchGraph) -> tuple[int, int]:
+def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
     """Maximum clique as an integer program over sphere exclusion constraints.
 
     A radius-t_A ball is pairwise below dbmin, so a clique meets it at most
     once; pair constraints cover the non-adjacent pairs no ball contains
     (needed when dbmin is even). Intended for dense word graphs where the
     combinatorial bound stalls; the solved vector is re-verified as a clique.
+    scipy is imported here because no other path needs it.
     """
+    import numpy as np
+    from scipy import optimize, sparse
+
     v_count = len(graph.vertices)
-    balls = _ball_masks(graph) or []
     covered = [0] * v_count
     rows: list[int] = []
     for ball in balls:
@@ -338,6 +325,7 @@ def _exact_orbital(
     graph: SearchGraph,
     start_weight: int,
     start_mask: int,
+    balls: Sequence[int] | None,
     node_cap: int | None = None,
 ) -> tuple[int, int]:
     """Maximum clique on a word-symmetric unweighted graph by orbital branch and bound.
@@ -352,7 +340,6 @@ def _exact_orbital(
     symbols = [w.symbols for w in graph.vertices]
     q = graph.vertices[0].q if graph.vertices else 3
     v_count = len(graph.vertices)
-    balls = _ball_masks(graph)
     best_weight = start_weight
     best_mask = start_mask
     memo: dict[int, int] = {}
@@ -489,15 +476,18 @@ def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Cliq
         seed_mask |= 1 << vertex_index[member]
 
     if graph.word_symmetry and all(w == 1 for w in graph.weights):
-        # only cap the combinatorial search when the sphere formulation can
-        # take over (spheres degenerate to singletons below dbmin = 3)
-        cap = _NODE_CAP if (graph.dbmin - 1) // 2 >= 1 else None
+        # radius-t_A balls are independent sets: they color the orbital search
+        # and give the integer program its rows. Below dbmin = 3 they shrink
+        # to single vertices, so neither gets them and the search is uncapped.
+        radius = (graph.dbmin - 1) // 2
+        balls = _dist_b_masks(graph.vertices, 0, radius) if radius >= 1 else None
+        cap = _NODE_CAP if balls is not None else None
         try:
             weight, mask = _exact_orbital(
-                graph, seed_result.total_weight, seed_mask, cap
+                graph, seed_result.total_weight, seed_mask, balls, cap
             )
         except _NodeCapReached:
-            weight, mask = _exact_milp(graph)
+            weight, mask = _exact_milp(graph, balls)
         members = tuple(sorted(graph.vertices[v] for v in _iter_bits(mask)))
         return CliqueResult(members, weight, exact=True)
 
@@ -712,7 +702,7 @@ def optimal_binary_code_size(
 
 def _binary_hamming_graph(n: int, min_dist: int) -> SearchGraph:
     words = [Word(2, symbols) for symbols in product(range(2), repeat=n)]
-    masks = _adjacency_masks(_symbol_matrix(words), min_dist)
+    masks = _dist_b_masks(words, min_dist)
     return SearchGraph(tuple(words), (1,) * len(words), masks, min_dist, 0, n)
 
 

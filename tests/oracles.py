@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from ternary_ecc.metric import dist_b
+
 
 def joint_mutual_information(
     matrix: list[list[float]], dist: list[float], log_base: float
@@ -81,6 +83,19 @@ def brute_dist_a(u: tuple[int, ...], v: tuple[int, ...]) -> float:
                 return math.inf
             total += 1
     return total
+
+
+def pairwise_dist_b_masks(words, lo: int, hi: int | None = None) -> tuple[int, ...]:
+    """Bitmask rows of lo <= dist_b(u, v) <= hi, one metric.dist_b call per pair."""
+    masks = []
+    for u in words:
+        mask = 0
+        for j, v in enumerate(words):
+            d = dist_b(u, v)
+            if d >= lo and (hi is None or d <= hi):
+                mask |= 1 << j
+        masks.append(mask)
+    return tuple(masks)
 
 
 def brute_sphere_volume(n: int, center: tuple[int, ...], r: int) -> int:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ternary_ecc
 from ternary_ecc.cli import main
 from ternary_ecc.core import load_code, save_code
 from ternary_ecc.library import (
@@ -14,6 +19,9 @@ from ternary_ecc.library import (
     zero_code,
 )
 from ternary_ecc.metric import min_dist_b
+
+
+_PLAN_INNER = {"1": "w1.code", "2": "w2.code", "5": "w5.code"}
 
 
 @pytest.fixture()
@@ -30,12 +38,7 @@ def plan_files(tmp_path):
     save_code(zero_code(1).to_code(), tmp_path / "w1.code")
     save_code(repetition(2).to_code(), tmp_path / "w2.code")
     save_code(single_parity_check(5).to_code(), tmp_path / "w5.code")
-    plan = {
-        "q": 3,
-        "dbmin": 3,
-        "outer": "outer.code",
-        "inner": {"1": "w1.code", "2": "w2.code", "5": "w5.code"},
-    }
+    plan = {"q": 3, "dbmin": 3, "outer": "outer.code", "inner": _PLAN_INNER}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan), encoding="ascii")
     return plan_path
@@ -210,6 +213,43 @@ class TestSearchCommand:
         code = load_code(out)
         assert code.size == payload["size"]
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "--n 4 --d 3 --mode unrestricted",
+                '{"exact": true, "members": ["0000", "1022", "1101", "1112", "1210", '
+                '"1221", "2012", "2111", "2120", "2201", "2222"], "size": 11}',
+            ),
+            (
+                "--n 5 --d 5 --mode unrestricted",
+                '{"exact": true, "members": ["01221", "10122", "11111", "12210", '
+                '"21012", "22101", "22222"], "size": 7}',
+            ),
+            (
+                "--n 4 --d 4 --mode unrestricted --wmin 1 --wmax 3",
+                '{"exact": true, "members": ["0122", "0211", "1012", "1101", "1220", '
+                '"2021", "2110", "2202"], "size": 8}',
+            ),
+            (
+                "--n 5 --d 3 --mode restricted",
+                '{"exact": true, "members": ["00011", "01100", "10000", "11111"], "size": 21}',
+            ),
+            (
+                "--n 4 --d 3 --mode unrestricted --algo greedy --seed 1",
+                '{"exact": false, "members": ["0012", "0121", "0222", "1102", "1111", '
+                '"1210", "1221", "2110", "2122", "2211"], "size": 10}',
+            ),
+            (
+                "--n 5 --d 3 --mode restricted --algo greedy --seed 1 --iters 20",
+                '{"exact": false, "members": ["00011", "01100", "10000", "11111"], "size": 21}',
+            ),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, argv, expected):
+        assert main(["search", *argv.split()]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
 
 class TestCodecCommands:
     def test_encode_decode_roundtrip(self, capsys, tmp_path, plan_files):
@@ -259,3 +299,91 @@ class TestErrorPaths:
 
     def test_capacity_sweep_is_ternary_only(self, capsys):
         assert main(["capacity", "--q", "5", "--sweep", "0", "0.5"]) == 1
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            [1, 2],
+            "plan",
+            {"outer": 5, "inner": {}, "dbmin": 3},
+            {"inner": {}, "dbmin": 3},
+            {"outer": "outer.code", "inner": [], "dbmin": 3},
+            {"outer": "outer.code", "inner": {"1": 7}, "dbmin": 3},
+            {"outer": "outer.code", "inner": _PLAN_INNER, "dbmin": None},
+            {"outer": "outer.code", "inner": _PLAN_INNER, "dbmin": 3, "q": "3"},
+            {"outer": "outer.code", "inner": _PLAN_INNER, "dbmin": 3.0},
+        ],
+        ids=[
+            "list", "string", "outer-int", "outer-missing", "inner-list",
+            "inner-int", "dbmin-null", "q-string", "dbmin-float",
+        ],
+    )
+    def test_malformed_plan_exits_one(self, capsys, plan_files, plan):
+        bad = plan_files.parent / "bad_plan.json"
+        bad.write_text(json.dumps(plan), encoding="ascii")
+        data = plan_files.parent / "data.txt"
+        data.write_text("00000\n", encoding="ascii")
+        for command in ("encode", "decode"):
+            argv = [command, "--plan", str(bad), "--in", str(data), "--out", str(data)]
+            assert main(argv) == 1
+            assert "error" in json.loads(capsys.readouterr().err)
+
+
+def _heavy_modules(tmp_path, argv: list[str]) -> tuple[int, list[str]]:
+    """Run the CLI (or, without arguments, only the package import) in a fresh
+    interpreter; return its exit status and which of numpy and scipy it loaded."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import ternary_ecc\n"
+        "status = 0\n"
+        "if sys.argv[1:]:\n"
+        "    from ternary_ecc.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = main(sys.argv[1:])\n"
+        "print(status, *sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    src = str(Path(ternary_ecc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    status, *heavy = done.stdout.split()
+    return int(status), heavy
+
+
+class TestImportFootprint:
+    def test_non_search_commands_load_neither(self, tmp_path, optimal_code_file, plan_files):
+        base = plan_files.parent
+        bits = tmp_path / "m.bits"
+        bits.write_text("110100111000101", encoding="ascii")
+        words = tmp_path / "m.words"
+        assert main(["encode", "--plan", str(plan_files), "--in", str(bits), "--out", str(words)]) == 0
+        code = str(optimal_code_file)
+        commands = [
+            [],
+            ["pmax", "--n", "3"],
+            ["capacity", "--p", "0.2"],
+            ["bound", "--table", "--n-list", "8,16", "--d-list", "2,4,8"],
+            ["mindist", "--code", code],
+            ["verify", "--code", code, "--d", "3"],
+            ["simulate", "--code", code, "--p", "0.1", "--decoder", "da",
+             "--trials", "20", "--seed", "1"],
+            ["construct", "--outer", str(base / "outer.code"),
+             "--inner", f"1={base / 'w1.code'}", "--inner", f"2={base / 'w2.code'}",
+             "--inner", f"5={base / 'w5.code'}", "--dbmin", "3"],
+            ["encode", "--plan", str(plan_files), "--in", str(bits),
+             "--out", str(tmp_path / "again.words")],
+            ["decode", "--plan", str(plan_files), "--in", str(words),
+             "--out", str(tmp_path / "m.out")],
+        ]
+        for argv in commands:
+            assert _heavy_modules(tmp_path, argv) == (0, []), argv
+
+    def test_exact_search_without_escalation_leaves_scipy_out(self, tmp_path):
+        argv = ["search", "--n", "4", "--d", "3", "--mode", "unrestricted"]
+        status, heavy = _heavy_modules(tmp_path, argv)
+        assert status == 0
+        assert "scipy" not in heavy

@@ -10,6 +10,7 @@ from ternary_ecc.metric import dist_b, min_dist_b
 from ternary_ecc.search import (
     BudgetExceededError,
     SearchGraph,
+    _dist_b_masks,
     build_restricted_graph,
     build_unrestricted_graph,
     exact_clique,
@@ -19,7 +20,7 @@ from ternary_ecc.search import (
     search_code,
 )
 
-from oracles import brute_max_clique, brute_max_weight_clique
+from oracles import brute_max_clique, brute_max_weight_clique, pairwise_dist_b_masks
 
 
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
@@ -62,6 +63,35 @@ class TestGraphBuilders:
             for j, v in enumerate(graph.vertices):
                 expected = i != j and dist_b(u, v) >= 3
                 assert bool(graph.adj[i] >> j & 1) == expected
+
+    @pytest.mark.parametrize(
+        "mode, n, dbmin, wmin, wmax",
+        [
+            ("unrestricted", 3, 0, 0, None),
+            ("unrestricted", 4, 3, 0, None),
+            ("unrestricted", 4, 4, 1, 3),
+            ("unrestricted", 5, 5, 2, 4),
+            ("restricted", 5, 2, 0, None),
+            ("restricted", 6, 3, 0, None),
+            ("restricted", 6, 4, 1, 5),
+            ("restricted", 7, 5, 3, 7),
+        ],
+    )
+    def test_masks_match_pairwise_dist_b(self, mode, n, dbmin, wmin, wmax):
+        # adjacency is dist_b >= dbmin off the diagonal; a ball is dist_b <= radius
+        if mode == "unrestricted":
+            graph = build_unrestricted_graph(n, dbmin, wmin, wmax)
+        else:
+            graph = build_restricted_graph(n, dbmin, wmin, wmax, lambda length: 1)
+        words = graph.vertices
+        expected_adj = tuple(
+            mask & ~(1 << i)
+            for i, mask in enumerate(pairwise_dist_b_masks(words, dbmin))
+        )
+        assert graph.adj == expected_adj
+        radius = (dbmin - 1) // 2
+        assert _dist_b_masks(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
+        assert _dist_b_masks(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
 
     def test_restricted_weights(self):
         graph = build_restricted_graph(5, 3)
