@@ -17,10 +17,6 @@ from .codec import (
     DecodeTrace,
     MessageStream,
     StreamCodec,
-    decode_block,
-    decode_stream,
-    encode_block,
-    encode_stream,
     strip_padding,
 )
 from .construct import (

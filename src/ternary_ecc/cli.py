@@ -216,7 +216,7 @@ def _read_bits(path: str | Path) -> tuple[int, ...]:
 def _cmd_encode(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan)
     bits = _read_bits(getattr(args, "in"))
-    words = codec_mod.encode_stream(plan, bits)
+    words = codec_mod.StreamCodec(plan).encode_stream(bits)
     Path(args.out).write_text(
         "".join(f"{w}\n" for w in words), encoding="ascii"
     )
@@ -233,7 +233,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     for w in words:
         if len(w) != n:
             raise ValueError(f"word {w} does not match block length {n}")
-    raw = codec_mod.decode_stream(plan, words)
+    raw = codec_mod.StreamCodec(plan).decode_stream(words)
     bits = codec_mod.strip_padding(raw)
     Path(args.out).write_text("".join(str(b) for b in bits) + "\n", encoding="ascii")
     _emit_json({"blocks": len(words), "bits_out": len(bits)})

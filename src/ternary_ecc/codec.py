@@ -253,18 +253,3 @@ class StreamCodec:
             out.extend(u2)
         return tuple(out)
 
-
-def encode_block(plan: ConstructionPlan, stream: MessageStream) -> BlockTrace:
-    return StreamCodec(plan).encode_block(stream)
-
-
-def decode_block(plan: ConstructionPlan, received: Word) -> tuple[Bits, Bits]:
-    return StreamCodec(plan).decode_block(received)
-
-
-def encode_stream(plan: ConstructionPlan, bits: Iterable[int]) -> list[Word]:
-    return StreamCodec(plan).encode_stream(bits)
-
-
-def decode_stream(plan: ConstructionPlan, words: Iterable[Word]) -> Bits:
-    return StreamCodec(plan).decode_stream(words)

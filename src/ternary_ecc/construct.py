@@ -110,18 +110,6 @@ def format_erasure_text(symbols: Sequence[ErasureSymbol]) -> str:
     return "".join("?" if s is None else str(s) for s in symbols)
 
 
-def _inner_words(inner: InnerCode) -> frozenset[Word]:
-    return inner.words
-
-
-def _inner_alphabet(inner: InnerCode) -> int:
-    return 2 if isinstance(inner, BinaryBlockCode) else inner.q
-
-
-def _inner_length(inner: InnerCode) -> int:
-    return inner.n
-
-
 @dataclass(frozen=True)
 class ConstructionPlan:
     """Outer binary code plus one inner code per outer codeword weight.
@@ -166,18 +154,15 @@ class ConstructionPlan:
         needed = self.weight_enumerator().nonzero_weights()
         for d in needed:
             inner = self.inner_for(d)
-            if _inner_length(inner) != d:
+            if inner.n != d:
+                raise PlanError(f"inner code for weight {d} has length {inner.n}")
+            if d > 0 and inner.q != self.q - 1:
                 raise PlanError(
-                    f"inner code for weight {d} has length {_inner_length(inner)}"
+                    f"inner code for weight {d} uses alphabet {inner.q}, "
+                    f"expected {self.q - 1}"
                 )
-            if d > 0 and _inner_alphabet(inner) != self.q - 1:
-                raise PlanError(
-                    f"inner code for weight {d} uses alphabet "
-                    f"{_inner_alphabet(inner)}, expected {self.q - 1}"
-                )
-            words = _inner_words(inner)
-            if len(words) >= 2:
-                dist = min_hamming_distance(words)
+            if len(inner.words) >= 2:
+                dist = min_hamming_distance(inner.words)
                 if dist < self.inner_min_distance:
                     raise PlanError(
                         f"inner code for weight {d} has minimum distance {dist}, "
@@ -196,7 +181,7 @@ def build_code(plan: ConstructionPlan) -> Code:
     seen: set[Word] = set()
     for mask in plan.outer.sorted_words():
         inner = plan.inner_for(hamming_weight(mask))
-        for inner_word in sorted(_inner_words(inner)):
+        for inner_word in sorted(inner.words):
             lifted = lift_erasure_word(inner_word.symbols, plan.q)
             codeword = scatter_into_support(mask, lifted)
             if codeword in seen:

@@ -39,11 +39,9 @@ class Word:
         """Parse a contiguous digit string such as '20010'."""
         if q > MAX_TEXT_ALPHABET:
             raise ValueError(f"digit strings support q <= {MAX_TEXT_ALPHABET}, got {q}")
-        try:
-            symbols = tuple(int(ch) for ch in text)
-        except ValueError as exc:
-            raise ValueError(f"non-digit character in word {text!r}") from exc
-        return cls(q, symbols)
+        if text and not _is_ascii_digits(text):
+            raise ValueError(f"non-digit character in word {text!r}")
+        return cls(q, tuple(int(ch) for ch in text))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -61,6 +59,12 @@ class Word:
         if self.q > MAX_TEXT_ALPHABET:
             raise ValueError(f"digit rendering supports q <= {MAX_TEXT_ALPHABET}")
         return "".join(str(s) for s in self.symbols)
+
+
+def _is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of 0-9 only; int() also takes '+', '_' and
+    non-ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 def hamming_weight(word: Word) -> int:
@@ -197,6 +201,10 @@ class BinaryBlockCode:
         return cls(n, _gf2_span(row_words, n), row_words)
 
     @property
+    def q(self) -> int:
+        return 2
+
+    @property
     def size(self) -> int:
         return len(self.words)
 
@@ -330,7 +338,10 @@ def save_code(code: Code, target: str | Path | TextIO) -> None:
 def load_code(source: str | Path | TextIO) -> Code:
     """Read a code from the text format; malformed input raises CodeFormatError."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="ascii")
+        try:
+            text = Path(source).read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise CodeFormatError(f"{source}: not an ASCII file") from exc
     else:
         text = source.read()
     lines = text.split("\n")
@@ -341,13 +352,12 @@ def load_code(source: str | Path | TextIO) -> Code:
     header = lines[0].split(" ")
     if len(header) != 3:
         raise CodeFormatError(f"malformed header {lines[0]!r}, expected 'q n M'")
-    try:
-        q, n, m = (int(part) for part in header)
-    except ValueError as exc:
-        raise CodeFormatError(f"malformed header {lines[0]!r}") from exc
+    if not all(_is_ascii_digits(part) for part in header):
+        raise CodeFormatError(f"malformed header {lines[0]!r}")
+    q, n, m = (int(part) for part in header)
     if not 2 <= q <= MAX_TEXT_ALPHABET:
         raise CodeFormatError(f"alphabet size {q} outside 2..{MAX_TEXT_ALPHABET}")
-    if n < 0 or m < 1:
+    if m < 1:
         raise CodeFormatError(f"invalid dimensions n={n}, M={m}")
     body = lines[1:]
     if len(body) != m:

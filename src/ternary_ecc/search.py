@@ -233,16 +233,16 @@ class _CapReached(Exception):
 
 def _orbit_masks(
     pending: int,
-    symbols: list[tuple[int, ...]],
-    chosen: list[tuple[int, ...]],
-    q: int,
+    symbols: Sequence[tuple[int, ...]],
+    chosen: Sequence[tuple[int, ...]],
 ) -> dict[int, int]:
     """Group candidates into orbits of the symmetry subgroup fixing the chosen words.
 
     A coordinate permutation must match whole columns of the chosen words, and
     a swap of the non-zero symbols is available only on all-zero columns, so
     two candidates are interchangeable exactly when their per-column tags
-    agree as multisets. Maps each candidate to the bitmask of its orbit.
+    agree as multisets. Binary words hold no 2, so for them the swap never
+    applies. Maps each candidate to the bitmask of its orbit.
     """
     n = len(symbols[0]) if symbols else 0
     columns = tuple(tuple(row[i] for row in chosen) for i in range(n))
@@ -256,7 +256,7 @@ def _orbit_masks(
         mask ^= low
         sym = symbols[v]
         tag = sorted(
-            (columns[i], 1 if q == 3 and free[i] and sym[i] == 2 else sym[i])
+            (columns[i], 1 if free[i] and sym[i] == 2 else sym[i])
             for i in range(n)
         )
         key = tuple(tag)
@@ -321,53 +321,78 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
     return weight, mask
 
 
-def _exact_orbital(
-    graph: SearchGraph,
+def _branch_and_bound(
+    adj: Sequence[int],
+    weights: Sequence[int],
     start_weight: int,
     start_mask: int,
-    balls: Sequence[int] | None,
+    symbols: Sequence[tuple[int, ...]] | None = None,
+    balls: Sequence[int] | None = None,
     node_cap: int | None = None,
 ) -> tuple[int, int]:
-    """Maximum clique on a word-symmetric unweighted graph by orbital branch and bound.
+    """Maximum-weight clique by bitset branch and bound; returns (weight, mask).
 
-    Candidate sets stay invariant under the stabilizer of the growing clique
-    because whole orbits are eliminated after their representative has been
-    branched; once a node falls back to per-vertex elimination (tiny candidate
-    sets), its subtree keeps the plain scheme. Raises _NodeCapReached when the
-    node budget runs out.
+    Every node colors its candidate set greedily (optionally radius-t_A balls
+    first); a clique takes at most one vertex per color class, so the running
+    sum of per-class maximum weights bounds each prefix of the coloring, and
+    only vertices whose prefix bound exceeds the incumbent gap are branched,
+    last color first. With unit weights a vertex about to open a color above
+    the gap is first recolored into a lower class (Tomita-style). A memo maps
+    candidate sets to proven bounds. The start clique seeds the incumbent and
+    is returned unless beaten.
+
+    Without symbols the search runs the reverse tail loop: the clique through
+    vertex i with neighbors above i, for i from the last vertex down, with
+    tail_bound[i] bounding any candidate set inside vertices i.. and each pass
+    capped at what its tail can add (_CapReached unwinds it). With symbols the
+    graph must be word-symmetric with unit weights, and one root call keeps
+    candidate sets invariant under the stabilizer of the growing clique by
+    eliminating a branched vertex's whole orbit; a subtree whose node drops
+    back to per-vertex elimination keeps the plain scheme. The tail loop's
+    candidate sets (neighbors above i) are not invariant, hence the two
+    entry paths. Raises _NodeCapReached when the node budget runs out.
     """
-    adj = list(graph.adj)
-    symbols = [w.symbols for w in graph.vertices]
-    q = graph.vertices[0].q if graph.vertices else 3
-    v_count = len(graph.vertices)
+    v_count = len(adj)
     best_weight = start_weight
     best_mask = start_mask
-    memo: dict[int, int] = {}
+    recolor = all(w == 1 for w in weights)
+    # inf never prunes; only the tail loop fills entries in, from the top down
+    tail_bound = [math.inf] * (v_count + 1)
+    ceiling = math.inf
+    node_cap = math.inf if node_cap is None else node_cap
     nodes = 0
+    # candidate set -> proven upper bound on the extra weight reachable inside it;
+    # bounds certified on a node's normal return stay valid graph-wide
+    memo: dict[int, int] = {}
 
     def expand(
-        chosen: list[tuple[int, ...]],
         clique_mask: int,
-        size: int,
+        clique_weight: int,
         candidates: int,
-        invariant: bool,
+        chosen: tuple[tuple[int, ...], ...] | None,
     ) -> None:
+        # chosen holds the clique's words while candidates stay orbit-invariant
         nonlocal best_weight, best_mask, nodes
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
+        if nodes > node_cap:
             raise _NodeCapReached
         if candidates == 0:
-            if size > best_weight:
-                best_weight = size
+            if clique_weight > best_weight:
+                best_weight = clique_weight
                 best_mask = clique_mask
+                if best_weight >= ceiling:
+                    raise _CapReached
+            return
+        lowest = (candidates & -candidates).bit_length() - 1
+        if clique_weight + tail_bound[lowest] <= best_weight:
             return
         known = memo.get(candidates)
-        if known is not None and size + known <= best_weight:
+        if known is not None and clique_weight + known <= best_weight:
             return
-        gap = best_weight - size
+        gap = best_weight - clique_weight
         classes: list[int] = []
         remaining = candidates
-        if balls is not None and remaining.bit_count() >= _BALL_MIN:
+        if balls is not None:
             while remaining.bit_count() >= _BALL_MIN:
                 take = 0
                 take_count = 0
@@ -390,7 +415,9 @@ def _exact_orbital(
                 pool &= ~low
                 pool &= ~adj[v]
             remaining &= ~class_mask
-            if len(classes) >= gap > 0:
+            if recolor and len(classes) >= gap > 0:
+                # move each vertex into a lower class, directly or by swapping
+                # out its single neighbor there; classes below the gap never branch
                 kept = class_mask
                 for v in _iter_bits(class_mask):
                     bit = 1 << v
@@ -419,51 +446,68 @@ def _exact_orbital(
             classes.append(class_mask)
         branch_v: list[int] = []
         branch_bound: list[int] = []
-        for color in range(max(gap, 0), len(classes)):
-            for v in _iter_bits(classes[color]):
-                branch_v.append(v)
-                branch_bound.append(color + 1)
+        bound = 0
+        for class_mask in classes:
+            bound += 1 if recolor else max(map(weights.__getitem__, _iter_bits(class_mask)))
+            if bound > gap:
+                for v in _iter_bits(class_mask):
+                    branch_v.append(v)
+                    branch_bound.append(bound)
         # stabilizers are large only near the root; deeper nodes would pay the
         # grouping cost for all-singleton orbits
-        use_orbits = (
-            invariant and len(chosen) < _ORBIT_DEPTH and candidates.bit_count() > 16
-        )
         orbit_of = (
-            _orbit_masks(candidates, symbols, chosen, q) if use_orbits else None
+            _orbit_masks(candidates, symbols, chosen)
+            if chosen is not None
+            and len(chosen) < _ORBIT_DEPTH
+            and candidates.bit_count() > 16
+            else None
         )
         full_set = candidates
         for i in range(len(branch_v) - 1, -1, -1):
-            if size + branch_bound[i] <= best_weight:
+            if clique_weight + branch_bound[i] <= best_weight:
                 break
             v = branch_v[i]
             bit = 1 << v
             if not (candidates & bit):
                 continue
-            chosen.append(symbols[v])
-            expand(chosen, clique_mask | bit, size + 1, candidates & adj[v], use_orbits)
-            chosen.pop()
+            expand(
+                clique_mask | bit,
+                clique_weight + weights[v],
+                candidates & adj[v],
+                chosen + (symbols[v],) if orbit_of else None,
+            )
             candidates &= ~orbit_of[v] if orbit_of else ~bit
         if len(memo) < _MEMO_CAP:
-            reachable = best_weight - size
+            reachable = best_weight - clique_weight
             prior = memo.get(full_set)
             if prior is None or reachable < prior:
                 memo[full_set] = reachable
 
-    expand([], 0, 0, (1 << v_count) - 1, True)
+    if symbols is not None:
+        expand(0, 0, (1 << v_count) - 1, ())
+        return best_weight, best_mask
+    tail_bound[v_count] = 0
+    for i in range(v_count - 1, -1, -1):
+        ceiling = tail_bound[i + 1] + weights[i]
+        if best_weight < ceiling:
+            try:
+                above = ~((1 << (i + 1)) - 1)
+                expand(1 << i, weights[i], adj[i] & above, None)
+            except _CapReached:
+                pass
+        tail_bound[i] = min(ceiling, best_weight)
     return best_weight, best_mask
 
 
 def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
-    Two bounds prune the tree. Greedy coloring: color classes are independent
-    sets, so a clique takes at most one vertex per class, and the cumulative
-    per-class maxima bound every prefix of the coloring order. Subproblem
-    table: vertices are processed in reverse static order and c[i] records an
-    upper bound for the subgraph on vertices i.., so any candidate set lying
-    inside that tail is bounded by c[i]; a tail can beat the previous one by
-    at most its own vertex weight, which caps each pass. A deterministic
-    greedy pass seeds the incumbent.
+    A deterministic greedy pass seeds the incumbent of _branch_and_bound.
+    Word-symmetric unit-weight graphs take its orbital root call in vertex
+    order, with radius-t_A balls as color classes once dbmin >= 3; there the
+    search is node-capped and a dense instance that hits the cap is settled
+    by the integer program instead. Every other graph is relabeled by
+    decreasing degree and takes the uncapped tail loop.
     """
     edges = graph.edge_count()
     if edges > max_edges:
@@ -481,182 +525,37 @@ def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Cliq
         # to single vertices, so neither gets them and the search is uncapped.
         radius = (graph.dbmin - 1) // 2
         balls = _dist_b_masks(graph.vertices, 0, radius) if radius >= 1 else None
-        cap = _NODE_CAP if balls is not None else None
         try:
-            weight, mask = _exact_orbital(
-                graph, seed_result.total_weight, seed_mask, balls, cap
+            weight, mask = _branch_and_bound(
+                graph.adj,
+                graph.weights,
+                seed_result.total_weight,
+                seed_mask,
+                symbols=[w.symbols for w in graph.vertices],
+                balls=balls,
+                node_cap=_NODE_CAP if balls is not None else None,
             )
         except _NodeCapReached:
             weight, mask = _exact_milp(graph, balls)
-        members = tuple(sorted(graph.vertices[v] for v in _iter_bits(mask)))
-        return CliqueResult(members, weight, exact=True)
-
-    order = sorted(range(v_count), key=lambda v: (-graph.degree(v), v))
-    position = [0] * v_count
-    for new, old in enumerate(order):
-        position[old] = new
-    adj = [0] * v_count
-    for new, old in enumerate(order):
-        mask = 0
-        for old_neighbor in _iter_bits(graph.adj[old]):
-            mask |= 1 << position[old_neighbor]
-        adj[new] = mask
-    weights = [graph.weights[old] for old in order]
-
-    best_weight = seed_result.total_weight
-    best_mask = 0
-    for member in seed_result.members:
-        best_mask |= 1 << position[vertex_index[member]]
-
-    tail_bound = [0] * (v_count + 1)
-    unweighted = all(w == 1 for w in weights)
-    # cand -> proven upper bound on the extra weight reachable inside cand;
-    # bounds certified on a node's normal return stay valid graph-wide
-    memo: dict[int, int] = {}
-
-    def expand_weighted(clique_mask: int, clique_weight: int, candidates: int, cap: int) -> None:
-        nonlocal best_weight, best_mask
-        if candidates == 0:
-            if clique_weight > best_weight:
-                best_weight = clique_weight
-                best_mask = clique_mask
-                if best_weight >= cap:
-                    raise _CapReached
-            return
-        lowest = (candidates & -candidates).bit_length() - 1
-        if clique_weight + tail_bound[lowest] <= best_weight:
-            return
-        known = memo.get(candidates)
-        if known is not None and clique_weight + known <= best_weight:
-            return
-        order_v: list[int] = []
-        bound_v: list[int] = []
-        remaining = candidates
-        cumulative = 0
-        while remaining:
-            class_mask = 0
-            class_best = 0
-            pool = remaining
-            while pool:
-                low = pool & -pool
-                v = low.bit_length() - 1
-                class_mask |= low
-                if weights[v] > class_best:
-                    class_best = weights[v]
-                pool &= ~low
-                pool &= ~adj[v]
-            remaining &= ~class_mask
-            cumulative += class_best
-            for v in _iter_bits(class_mask):
-                order_v.append(v)
-                bound_v.append(cumulative)
-        full_set = candidates
-        for i in range(len(order_v) - 1, -1, -1):
-            if clique_weight + bound_v[i] <= best_weight:
-                break
-            v = order_v[i]
-            bit = 1 << v
-            expand_weighted(
-                clique_mask | bit, clique_weight + weights[v], candidates & adj[v], cap
-            )
-            candidates &= ~bit
-        if len(memo) < _MEMO_CAP:
-            reachable = best_weight - clique_weight
-            prior = memo.get(full_set)
-            if prior is None or reachable < prior:
-                memo[full_set] = reachable
-
-    def expand_unit(clique_mask: int, clique_size: int, candidates: int, cap: int) -> None:
-        # unweighted fast path: a vertex only branches when its color exceeds
-        # the incumbent gap, and a recoloring swap may still demote it below
-        nonlocal best_weight, best_mask
-        if candidates == 0:
-            if clique_size > best_weight:
-                best_weight = clique_size
-                best_mask = clique_mask
-                if best_weight >= cap:
-                    raise _CapReached
-            return
-        lowest = (candidates & -candidates).bit_length() - 1
-        if clique_size + tail_bound[lowest] <= best_weight:
-            return
-        known = memo.get(candidates)
-        if known is not None and clique_size + known <= best_weight:
-            return
-        gap = best_weight - clique_size
-        classes: list[int] = []
-        branch_v: list[int] = []
-        branch_bound: list[int] = []
-        remaining = candidates
-        while remaining:
-            class_mask = 0
-            pool = remaining
-            while pool:
-                low = pool & -pool
-                v = low.bit_length() - 1
-                class_mask |= low
-                pool &= ~low
-                pool &= ~adj[v]
-            remaining &= ~class_mask
-            color = len(classes) + 1
-            if color > gap and gap > 0:
-                kept = class_mask
-                for v in _iter_bits(class_mask):
-                    bit = 1 << v
-                    av = adj[v]
-                    for c1 in range(gap):
-                        overlap = av & classes[c1]
-                        if overlap and (overlap & (overlap - 1)) == 0:
-                            w = overlap.bit_length() - 1
-                            aw = adj[w]
-                            for c2 in range(gap):
-                                if c2 != c1 and not (aw & classes[c2]):
-                                    classes[c1] = (classes[c1] & ~overlap) | bit
-                                    classes[c2] |= overlap
-                                    kept &= ~bit
-                                    break
-                            else:
-                                continue
-                            break
-                        if not overlap:
-                            classes[c1] |= bit
-                            kept &= ~bit
-                            break
-                class_mask = kept
-                if not class_mask:
-                    continue
-            classes.append(class_mask)
-            if color > gap:
-                for v in _iter_bits(class_mask):
-                    branch_v.append(v)
-                    branch_bound.append(color)
-        full_set = candidates
-        for i in range(len(branch_v) - 1, -1, -1):
-            if clique_size + branch_bound[i] <= best_weight:
-                break
-            v = branch_v[i]
-            bit = 1 << v
-            expand_unit(clique_mask | bit, clique_size + 1, candidates & adj[v], cap)
-            candidates &= ~bit
-        if len(memo) < _MEMO_CAP:
-            reachable = best_weight - clique_size
-            prior = memo.get(full_set)
-            if prior is None or reachable < prior:
-                memo[full_set] = reachable
-
-    expand = expand_unit if unweighted else expand_weighted
-    for i in range(v_count - 1, -1, -1):
-        cap = tail_bound[i + 1] + weights[i]
-        if best_weight < cap:
-            try:
-                above = ~((1 << (i + 1)) - 1)
-                expand(1 << i, weights[i], adj[i] & above, cap)
-            except _CapReached:
-                pass
-        tail_bound[i] = min(cap, best_weight)
-
-    members = tuple(sorted(graph.vertices[order[v]] for v in _iter_bits(best_mask)))
-    return CliqueResult(members, best_weight, exact=True)
+        labels = graph.vertices
+    else:
+        order = sorted(range(v_count), key=lambda v: (-graph.degree(v), v))
+        position = [0] * v_count
+        for new, old in enumerate(order):
+            position[old] = new
+        adj = [0] * v_count
+        for new, old in enumerate(order):
+            for old_neighbor in _iter_bits(graph.adj[old]):
+                adj[new] |= 1 << position[old_neighbor]
+        start_mask = 0
+        for v in _iter_bits(seed_mask):
+            start_mask |= 1 << position[v]
+        weight, mask = _branch_and_bound(
+            adj, [graph.weights[old] for old in order], seed_result.total_weight, start_mask
+        )
+        labels = [graph.vertices[old] for old in order]
+    members = tuple(sorted(labels[v] for v in _iter_bits(mask)))
+    return CliqueResult(members, weight, exact=True)
 
 
 _OPTIMAL_BINARY: dict[tuple[int, int], BinaryBlockCode] = {}

@@ -10,10 +10,6 @@ from ternary_ecc.codec import (
     CodecError,
     MessageStream,
     StreamCodec,
-    decode_block,
-    decode_stream,
-    encode_block,
-    encode_stream,
     strip_padding,
 )
 from ternary_ecc.construct import ConstructionPlan
@@ -83,7 +79,7 @@ class TestEncodeBlock:
     def test_weight_two_path(self, plan_5_21_3):
         # message 10 picks 11000; inner bit 1 picks the doubled pair
         stream = MessageStream((1, 0, 1))
-        trace = encode_block(plan_5_21_3, stream)
+        trace = StreamCodec(plan_5_21_3).encode_block(stream)
         assert trace.u1 == (1, 0)
         assert str(trace.x1_bar) == "11000"
         assert trace.u2 == (1,)
@@ -92,7 +88,7 @@ class TestEncodeBlock:
 
     def test_weight_one_consumes_no_extra_bits(self, plan_5_21_3):
         stream = MessageStream((0, 1))
-        trace = encode_block(plan_5_21_3, stream)
+        trace = StreamCodec(plan_5_21_3).encode_block(stream)
         assert str(trace.x1_bar) == "00100"
         assert trace.u2 == ()
         assert str(trace.x) == "00100"
@@ -101,7 +97,7 @@ class TestEncodeBlock:
     def test_empty_stream_emits_padded_block(self, plan_5_21_3):
         # padding supplies 1 then zeros: u1 = 10 -> 11000, u2 = 0 -> 11000
         stream = MessageStream(())
-        trace = encode_block(plan_5_21_3, stream)
+        trace = StreamCodec(plan_5_21_3).encode_block(stream)
         assert trace.u1 == (1, 0)
         assert trace.u2 == (0,)
         assert str(trace.x) == "11000"
@@ -170,27 +166,27 @@ class TestDecodeBlock:
 
 class TestStreams:
     def test_empty_message_single_block(self, plan_5_21_3):
-        words = encode_stream(plan_5_21_3, ())
+        words = StreamCodec(plan_5_21_3).encode_stream(())
         assert len(words) == 1
-        bits = decode_stream(plan_5_21_3, words)
+        bits = StreamCodec(plan_5_21_3).decode_stream(words)
         assert strip_padding(bits) == ()
 
     def test_noiseless_roundtrip(self, plan_5_21_3):
         rng = random.Random(6)
         message = tuple(rng.randrange(2) for _ in range(200))
-        words = encode_stream(plan_5_21_3, message)
-        decoded = decode_stream(plan_5_21_3, words)
+        words = StreamCodec(plan_5_21_3).encode_stream(message)
+        decoded = StreamCodec(plan_5_21_3).decode_stream(words)
         assert strip_padding(decoded) == message
 
     def test_roundtrip_with_one_error_per_block(self, plan_5_21_3):
         rng = random.Random(8)
         message = tuple(rng.randrange(2) for _ in range(150))
-        words = encode_stream(plan_5_21_3, message)
+        words = StreamCodec(plan_5_21_3).encode_stream(message)
         corrupted = []
         for word in words:
             options = [y for y in corruptions_within_one_error(word) if y != word]
             corrupted.append(rng.choice(options))
-        decoded = decode_stream(plan_5_21_3, corrupted)
+        decoded = StreamCodec(plan_5_21_3).decode_stream(corrupted)
         assert strip_padding(decoded) == message
 
     def test_excess_errors_desynchronize(self, plan_5_21_3):
@@ -215,10 +211,10 @@ class TestStreams:
             codec.decode_stream(bad)
         assert info.value.block_index == 1
 
-    def test_module_level_wrappers(self, plan_5_21_3):
+    def test_separate_codecs_agree(self, plan_5_21_3):
         stream = MessageStream((1, 1, 0, 0, 1))
-        trace = encode_block(plan_5_21_3, stream)
-        assert decode_block(plan_5_21_3, trace.x) == (trace.u1, trace.u2)
+        trace = StreamCodec(plan_5_21_3).encode_block(stream)
+        assert StreamCodec(plan_5_21_3).decode_block(trace.x) == (trace.u1, trace.u2)
 
 
 class TestCodecGuards:

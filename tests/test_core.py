@@ -176,10 +176,24 @@ class TestCodeFiles:
         with pytest.raises(CodeFormatError):
             load_code(io.StringIO("3 3 2\n012\n012\n"))
 
-    def test_malformed_header(self):
-        for text in ("3 5\n", "a b c\n000\n", "", "3 5 2 9\n"):
+    def test_malformed_header(self, tmp_path):
+        # only ASCII digits count: int() alone would take '1_0', '+2' and '\u0662'
+        for text in (
+            "3 5\n",
+            "a b c\n000\n",
+            "",
+            "3 5 2 9\n",
+            "3 1_0 1\n0000000000\n",
+            "+2 1 1\n0\n",
+            "3 \u0662 1\n00\n",
+            "3 2 1\n\u06620\n",
+        ):
             with pytest.raises(CodeFormatError):
                 load_code(io.StringIO(text))
+        path = tmp_path / "code.txt"
+        path.write_bytes("3 2 1\n\u06620\n".encode("utf-8"))
+        with pytest.raises(CodeFormatError):
+            load_code(path)
 
     def test_wrong_line_length(self):
         with pytest.raises(CodeFormatError):

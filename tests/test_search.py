@@ -25,7 +25,7 @@ from oracles import brute_max_clique, brute_max_weight_clique, pairwise_dist_b_m
 
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
     """Arbitrary graph over dummy words, for solver-only tests."""
-    words = [Word(3, (v % 3, v // 3 % 3, v // 9 % 3, 1)) for v in range(v_count)]
+    words = [Word(3, (v % 3, v // 3 % 3, v // 9 % 3, v // 27 % 3)) for v in range(v_count)]
     adj = [0] * v_count
     for a, b in combinations(range(v_count), 2):
         if rng.random() < density:
@@ -122,6 +122,20 @@ class TestOptimalBinaryCodes:
             code = optimal_binary_code(length, dist)
             assert code.min_distance() >= dist
 
+    def test_pinned_members(self):
+        # these searches take the plain unit-weight path and decide the inner
+        # codes that restricted search writes out
+        pinned = {
+            (6, 3): "000110 001101 010011 011000 100000 101011 110101 111110",
+            (7, 3): "0001011 0001100 0010000 0010111 0100001 0100110 0111010 0111101 "
+            "1000010 1000101 1011001 1011110 1101000 1101111 1110011 1110100",
+            (7, 4): "0010110 0011001 0100101 0101010 1000011 1001100 1110000 1111111",
+            (8, 5): "00111101 01100010 10001000 11010111",
+        }
+        for (length, dist), words in pinned.items():
+            code = optimal_binary_code(length, dist)
+            assert " ".join(str(w) for w in code.sorted_words()) == words
+
     def test_overrides(self):
         assert optimal_binary_code_size(12, 4, overrides={12: 256}) == 256
 
@@ -205,23 +219,59 @@ class TestExact:
             exact_clique(graph, max_edges=10)
 
     def test_symmetry_pruning_matches_plain_search(self):
-        # the word-symmetric fast path must agree with the generic engine
-        for n in (2, 3, 4):
-            for dbmin in (2, 3, 4):
-                graph = build_unrestricted_graph(n, dbmin)
-                plain = SearchGraph(
-                    graph.vertices,
-                    graph.weights,
-                    graph.adj,
-                    graph.dbmin,
-                    graph.wmin,
-                    graph.wmax,
-                    word_symmetry=False,
-                )
-                assert (
-                    exact_clique(graph).total_weight
-                    == exact_clique(plain).total_weight
-                )
+        # the word-symmetric fast path must agree with the generic engine, on
+        # ternary words and, with unit weights, on binary outer words
+        graphs = [build_unrestricted_graph(n, d) for n in (2, 3, 4) for d in (2, 3, 4)]
+        graphs += [
+            build_restricted_graph(n, d, weight_oracle=lambda _: 1)
+            for n in (3, 4, 5, 6)
+            for d in (2, 3, 4)
+        ]
+        for graph in graphs:
+            plain = SearchGraph(
+                graph.vertices,
+                graph.weights,
+                graph.adj,
+                graph.dbmin,
+                graph.wmin,
+                graph.wmax,
+                word_symmetry=False,
+            )
+            result = exact_clique(graph)
+            assert result.total_weight == exact_clique(plain).total_weight
+            assert result.size == result.total_weight
+            for a, b in combinations(result.members, 2):
+                assert dist_b(a, b) >= graph.dbmin
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_networkx_beyond_bruteforce(self, weighted):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(34 + weighted)
+        for trial in range(20):
+            v_count = rng.randrange(13, 41)
+            base = random_graph(rng, v_count, rng.uniform(0.2, 0.9))
+            weights = (
+                tuple(rng.randrange(1, 9) for _ in range(v_count))
+                if weighted
+                else base.weights
+            )
+            graph = SearchGraph(
+                base.vertices, weights, base.adj, base.dbmin, base.wmin, base.wmax
+            )
+            oracle = nx.Graph()
+            for v in range(v_count):
+                oracle.add_node(v, weight=weights[v])
+                for u in range(v):
+                    if graph.adj[v] >> u & 1:
+                        oracle.add_edge(u, v)
+            _, best = nx.max_weight_clique(oracle, weight="weight")
+            result = exact_clique(graph)
+            assert result.total_weight == best
+            index = {w: i for i, w in enumerate(graph.vertices)}
+            members = [index[w] for w in result.members]
+            assert sum(weights[v] for v in members) == best
+            for a, b in combinations(members, 2):
+                assert graph.adj[a] >> b & 1
 
     def test_symmetry_pruning_on_weight_windows(self):
         # weight windows stay closed under the word symmetries
