@@ -18,6 +18,7 @@ from .core import (
     Code,
     Word,
     WeightEnumerator,
+    _is_ascii_digits,
     hamming_weight,
     min_hamming_distance,
     weight_enumerator,
@@ -102,7 +103,14 @@ def lower_to_erasure_word(word: Word) -> tuple[ErasureSymbol, ...]:
 
 
 def parse_erasure_text(text: str) -> tuple[ErasureSymbol, ...]:
-    """Parse a string like '11010?1?' where '?' marks an erasure."""
+    """Parse a string like '11010?1?' where '?' marks an erasure.
+
+    Only ASCII digits and '?' are symbols; int() alone would also read
+    non-ASCII digits such as '١'.
+    """
+    digits = text.replace("?", "")
+    if digits and not _is_ascii_digits(digits):
+        raise ValueError(f"non-digit character in erasure word {text!r}")
     return tuple(None if ch == "?" else int(ch) for ch in text)
 
 

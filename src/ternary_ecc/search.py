@@ -162,13 +162,47 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _mask_of(flags: Sequence[int]) -> int:
+    """Bitmask with bit v set exactly when flags[v] is true; flags is non-empty."""
+    return int("".join("1" if f else "0" for f in reversed(flags)), 2)
+
+
+def _kth_bit(mask: int, k: int) -> int:
+    """Index of the k-th lowest set bit of mask, counting from 0."""
+    base = 0
+    while mask.bit_length() > 64:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        count = low.bit_count()
+        if k < count:
+            mask = low
+        else:
+            k -= count
+            mask >>= half
+            base += half
+    for _ in range(k):
+        mask &= mask - 1
+    return base + (mask & -mask).bit_length() - 1
+
+
 def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResult:
     """Randomized greedy independent-set construction on the complement graph.
 
     Vertices of complement degree at most one are always safe to keep (their
-    closed neighborhood leaves at most one rival); while none exists, the most
-    conflicted vertex is discarded. Iteration i reseeds with seed XOR i and the
-    heaviest result wins.
+    closed neighborhood leaves at most one rival), heaviest first; while none
+    exists, the most conflicted vertex is discarded. Iteration i reseeds with
+    seed XOR i and the heaviest result wins.
+
+    Degrees within the active set live in bit-sliced counters: planes[b] holds
+    bit b of every vertex's degree, so removing a vertex subtracts its active
+    complement row from all counters at once with a ripple borrow through the
+    planes. Degree <= 1 is the active set outside planes[1:], and the
+    maximum-degree vertices are what survives narrowing the active set
+    through the planes from the top down. Inactive vertices keep stale bits
+    that every query masks out. A pick is the k-th lowest vertex of its pool
+    with k = rng.randrange(pool size), which draws exactly as rng.choice on
+    the pool as a sorted list does, so every graph, seed and iteration count
+    gives the result of recounting each active degree at every step.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -178,26 +212,47 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
         full & ~graph.adj[v] & ~(1 << v) for v in range(v_count)
     ]
     weights = graph.weights
+    degrees = [mask.bit_count() for mask in complement]
+    start_planes = [
+        _mask_of([d >> b & 1 for d in degrees])
+        for b in range(max(degrees, default=0).bit_length())
+    ]
+    by_weight = [
+        _mask_of([w == top for w in weights])
+        for top in sorted(set(weights), reverse=True)
+    ]
     best_members: list[int] = []
     best_weight = -1
     for iteration in range(iterations):
         rng = random.Random(seed ^ iteration)
+        planes = start_planes.copy()
         active = full
         members: list[int] = []
         while active:
-            degrees = {v: (complement[v] & active).bit_count() for v in _iter_bits(active)}
-            low = [v for v, d in degrees.items() if d <= 1]
+            high = 0
+            for plane in planes[1:]:
+                high |= plane
+            low = active & ~high
             if low:
-                top = max(weights[v] for v in low)
-                pool = [v for v in low if weights[v] == top]
-                v = rng.choice(pool)
+                pool = next(low & mask for mask in by_weight if low & mask)
+                v = _kth_bit(pool, rng.randrange(pool.bit_count()))
                 members.append(v)
-                active &= ~(complement[v] | (1 << v))
+                removed = active & (complement[v] | (1 << v))
             else:
-                top = max(degrees.values())
-                pool = [v for v, d in degrees.items() if d == top]
-                v = rng.choice(pool)
-                active &= ~(1 << v)
+                pool = active
+                for plane in reversed(planes):
+                    if pool & plane:
+                        pool &= plane
+                v = _kth_bit(pool, rng.randrange(pool.bit_count()))
+                removed = 1 << v
+            active &= ~removed
+            for u in _iter_bits(removed):
+                borrow = complement[u] & active
+                for b, plane in enumerate(planes):
+                    if not borrow:
+                        break
+                    planes[b] = plane ^ borrow
+                    borrow &= ~plane
         total = sum(weights[v] for v in members)
         if total > best_weight:
             best_weight = total
@@ -483,20 +538,26 @@ def _branch_and_bound(
             if prior is None or reachable < prior:
                 memo[full_set] = reachable
 
-    if symbols is not None:
-        expand(0, 0, (1 << v_count) - 1, ())
+    try:
+        if symbols is not None:
+            expand(0, 0, (1 << v_count) - 1, ())
+            return best_weight, best_mask
+        tail_bound[v_count] = 0
+        for i in range(v_count - 1, -1, -1):
+            ceiling = tail_bound[i + 1] + weights[i]
+            if best_weight < ceiling:
+                try:
+                    above = ~((1 << (i + 1)) - 1)
+                    expand(1 << i, weights[i], adj[i] & above, None)
+                except _CapReached:
+                    pass
+            tail_bound[i] = min(ceiling, best_weight)
         return best_weight, best_mask
-    tail_bound[v_count] = 0
-    for i in range(v_count - 1, -1, -1):
-        ceiling = tail_bound[i + 1] + weights[i]
-        if best_weight < ceiling:
-            try:
-                above = ~((1 << (i + 1)) - 1)
-                expand(1 << i, weights[i], adj[i] & above, None)
-            except _CapReached:
-                pass
-        tail_bound[i] = min(ceiling, best_weight)
-    return best_weight, best_mask
+    finally:
+        # expand reaches itself through its closure cell; unbinding it breaks
+        # that cycle, so memo and the other captured state are freed on return
+        # instead of surviving until the next full garbage collection
+        del expand
 
 
 def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CliqueResult:

@@ -7,9 +7,11 @@ exhaustive enumeration) without reusing the code paths under test.
 from __future__ import annotations
 
 import math
+import random
 from itertools import product
 
 from ternary_ecc.metric import dist_b
+from ternary_ecc.search import CliqueResult, SearchGraph
 
 
 def joint_mutual_information(
@@ -142,3 +144,54 @@ def brute_max_weight_clique(adjacency: list[list[bool]], weights: list[int]) -> 
         ):
             best = total
     return best
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def greedy_clique_reference(
+    graph: SearchGraph, seed: int, iterations: int
+) -> CliqueResult:
+    """search.greedy_clique as it was before bit-sliced degree counters.
+
+    Every step recounts the complement degree of each active vertex, O(V^2)
+    popcounts per pass; the library version must draw and return the same.
+    """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    v_count = len(graph.vertices)
+    full = (1 << v_count) - 1
+    complement = [
+        full & ~graph.adj[v] & ~(1 << v) for v in range(v_count)
+    ]
+    weights = graph.weights
+    best_members: list[int] = []
+    best_weight = -1
+    for iteration in range(iterations):
+        rng = random.Random(seed ^ iteration)
+        active = full
+        members: list[int] = []
+        while active:
+            degrees = {v: (complement[v] & active).bit_count() for v in _iter_bits(active)}
+            low = [v for v, d in degrees.items() if d <= 1]
+            if low:
+                top = max(weights[v] for v in low)
+                pool = [v for v in low if weights[v] == top]
+                v = rng.choice(pool)
+                members.append(v)
+                active &= ~(complement[v] | (1 << v))
+            else:
+                top = max(degrees.values())
+                pool = [v for v, d in degrees.items() if d == top]
+                v = rng.choice(pool)
+                active &= ~(1 << v)
+        total = sum(weights[v] for v in members)
+        if total > best_weight:
+            best_weight = total
+            best_members = members
+    chosen = tuple(sorted(graph.vertices[v] for v in best_members))
+    return CliqueResult(chosen, best_weight, exact=False, seed=seed, iterations=iterations)

@@ -102,6 +102,15 @@ class TestLiftLower:
         text = "1?0?1"
         assert format_erasure_text(parse_erasure_text(text)) == text
 
+    def test_parse_qary(self):
+        assert parse_erasure_text("30?") == (3, 0, None)
+
+    @pytest.mark.parametrize("text", ["\u0661?0", "\u0662"])
+    def test_parse_refuses_non_ascii_digits(self, text):
+        # int() reads the Arabic-Indic digits one and two; the parser must not
+        with pytest.raises(ValueError):
+            parse_erasure_text(text)
+
 
 class TestPlanValidation:
     def test_valid_plan(self, plan_5_21_3):

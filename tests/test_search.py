@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from ternary_ecc.metric import dist_b, min_dist_b
 from ternary_ecc.search import (
     BudgetExceededError,
     SearchGraph,
+    _binary_hamming_graph,
     _dist_b_masks,
     build_restricted_graph,
     build_unrestricted_graph,
@@ -20,7 +22,12 @@ from ternary_ecc.search import (
     search_code,
 )
 
-from oracles import brute_max_clique, brute_max_weight_clique, pairwise_dist_b_masks
+from oracles import (
+    brute_max_clique,
+    brute_max_weight_clique,
+    greedy_clique_reference,
+    pairwise_dist_b_masks,
+)
 
 
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
@@ -177,6 +184,56 @@ class TestGreedy:
         second = greedy_clique(graph, seed=5, iterations=30)
         assert first == second
 
+    @staticmethod
+    def _oracle_graphs(family):
+        if family == "unrestricted":
+            return [build_unrestricted_graph(n, d) for n in range(6) for d in range(1, 7)]
+        if family == "restricted":
+            return [build_restricted_graph(n, d) for n in range(1, 8) for d in range(1, 8)]
+        if family == "binary_hamming":
+            return [_binary_hamming_graph(n, d) for n in range(3, 8) for d in range(2, 5)]
+        if family == "window":
+            return [build_unrestricted_graph(5, 3, wmin=1, wmax=4)]
+        rng = random.Random(41)
+        graphs = [SearchGraph((), (), (), 1, 0, 4)]
+        for _ in range(30):
+            v_count = rng.randrange(1, 60)
+            base = random_graph(rng, v_count, rng.uniform(0.1, 0.9))
+            weights = tuple(rng.randrange(1, 6) for _ in range(v_count))
+            graphs.append(
+                SearchGraph(base.vertices, weights, base.adj, base.dbmin, base.wmin, base.wmax)
+            )
+        return graphs
+
+    @pytest.mark.parametrize(
+        "family", ["unrestricted", "restricted", "binary_hamming", "window", "random"]
+    )
+    def test_matches_reference(self, family):
+        # same picks as the per-vertex recount; unrestricted n = 0 is the 1-vertex
+        # graph and the random family starts with the empty graph
+        for graph in self._oracle_graphs(family):
+            for seed, iterations in ((0, 24), (1, 2), (7, 5)):
+                expected = greedy_clique_reference(graph, seed, iterations)
+                assert greedy_clique(graph, seed, iterations) == expected
+
+    def test_degenerate_graphs(self):
+        empty = greedy_clique(SearchGraph((), (), (), 1, 0, 0), seed=0, iterations=3)
+        assert empty.members == () and empty.total_weight == 0
+        single = greedy_clique(build_unrestricted_graph(0, 1), seed=0, iterations=1)
+        assert single.size == 1 and single.total_weight == 1
+        for iterations in (0, -1):
+            with pytest.raises(ValueError):
+                greedy_clique(build_unrestricted_graph(2, 2), seed=0, iterations=iterations)
+
+    def test_randrange_draws_as_choice(self):
+        # the pick uses randrange(k) on the pool size where the recount used
+        # choice() on the pool list: both must consume the stream identically
+        for s in range(300):
+            for k in (1, 2, 3, 5, 8, 63, 64, 65, 100, 729, 2**20 + 1):
+                a, b = random.Random(s), random.Random(s)
+                assert a.randrange(k) == b.choice(range(k))
+                assert a.getstate() == b.getstate()
+
 
 class TestExact:
     def test_matches_bruteforce_on_random_graphs(self):
@@ -212,6 +269,26 @@ class TestExact:
             graph = random_graph(rng, rng.randrange(5, 12), rng.uniform(0.3, 0.8))
             greedy = greedy_clique(graph, seed=trial, iterations=10)
             assert greedy.total_weight <= exact_clique(graph).total_weight
+
+    def test_search_leaves_no_reference_cycles(self):
+        # the kernel's recursive closure must not keep its memo alive until a
+        # full collection; warm up first so that imports and memos are settled
+        cells = [
+            (5, 2, "unrestricted"),
+            (5, 4, "unrestricted"),
+            (7, 5, "restricted"),
+            (7, 7, "restricted"),
+        ]
+        for n, d, mode in cells:
+            search_code(n, d, mode)
+        gc.collect()
+        gc.disable()
+        try:
+            for n, d, mode in cells:
+                search_code(n, d, mode)
+                assert gc.collect() == 0, (n, d, mode)
+        finally:
+            gc.enable()
 
     def test_budget_refusal(self):
         graph = build_unrestricted_graph(4, 2)
