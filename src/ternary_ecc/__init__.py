@@ -29,7 +29,6 @@ from .construct import (
     scatter_into_support,
 )
 from .core import (
-    BinaryBlockCode,
     Code,
     CodeFormatError,
     ErasureDecodeError,

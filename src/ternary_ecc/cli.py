@@ -20,7 +20,7 @@ from . import construct as construct_mod
 from . import decode as decode_mod
 from . import metric as metric_mod
 from . import search as search_mod
-from .core import BinaryBlockCode, Word, load_code, save_code
+from .core import Word, load_code, save_code
 
 
 def _emit_json(payload: dict) -> None:
@@ -30,13 +30,6 @@ def _emit_json(payload: dict) -> None:
 def _fail(message: str) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return 1
-
-
-def _load_binary(path: str | Path) -> BinaryBlockCode:
-    code = load_code(path)
-    if code.q != 2:
-        raise ValueError(f"{path}: expected a binary code, found q={code.q}")
-    return BinaryBlockCode(code.n, code.words)
 
 
 def _load_plan(path: str | Path) -> construct_mod.ConstructionPlan:
@@ -56,9 +49,9 @@ def _load_plan(path: str | Path) -> construct_mod.ConstructionPlan:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{path}: {key!r} must be an integer")
     base = plan_path.parent
-    outer = _load_binary(base / data["outer"])
+    outer = load_code(base / data["outer"])
     inner = {
-        int(weight): _load_binary(base / inner_path)
+        int(weight): load_code(base / inner_path)
         for weight, inner_path in inner_paths.items()
     }
     return construct_mod.ConstructionPlan(outer, inner, dbmin, q)
@@ -140,7 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    outer = _load_binary(args.outer)
+    outer = load_code(args.outer)
     inner = {}
     for item in args.inner:
         weight_text, _, path = item.partition("=")

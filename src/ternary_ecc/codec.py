@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BinaryBlockCode, ErasureDecodeError, Word, hamming_weight
+from .core import Code, ErasureDecodeError, Word, hamming_weight
 from .construct import (
     ConstructionPlan,
     gather_from_support,
@@ -116,7 +116,9 @@ class _MessageMap:
     them with big-endian bit blocks.
     """
 
-    def __init__(self, code: BinaryBlockCode):
+    def __init__(self, code: Code):
+        if code.q != 2:
+            raise CodecError("inner codes must be binary for streaming")
         k = code.info_len
         if k is None:
             raise CodecError(
@@ -172,20 +174,12 @@ class StreamCodec:
             raise CodecError("streaming is defined for the ternary channel only")
         plan.validate()
         self.plan = plan
-        self._outer = _MessageMap(self._as_binary(plan.outer))
+        self._outer = _MessageMap(plan.outer)
         self._inner: dict[int, _MessageMap] = {}
         for d in plan.weight_enumerator().nonzero_weights():
-            self._inner[d] = _MessageMap(self._as_binary(plan.inner_for(d)))
+            self._inner[d] = _MessageMap(plan.inner_for(d))
         if self._outer.k == 0 and all(m.k == 0 for m in self._inner.values()):
             raise CodecError("plan carries no information; every block is fixed")
-
-    @staticmethod
-    def _as_binary(code) -> BinaryBlockCode:
-        if isinstance(code, BinaryBlockCode):
-            return code
-        if code.q == 2:
-            return BinaryBlockCode(code.n, code.words)
-        raise CodecError("inner codes must be binary for streaming")
 
     @property
     def outer_message_len(self) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
-    BinaryBlockCode,
     Code,
     Word,
     WeightEnumerator,
@@ -25,8 +24,6 @@ from .core import (
 )
 
 ErasureSymbol = int | None
-
-InnerCode = BinaryBlockCode | Code
 
 
 class PlanError(ValueError):
@@ -128,13 +125,15 @@ class ConstructionPlan:
     covered by the singleton empty-word code.
     """
 
-    outer: BinaryBlockCode
-    inner: Mapping[int, InnerCode]
+    outer: Code
+    inner: Mapping[int, Code]
     dbmin: int
     q: int = 3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inner", dict(self.inner))
+        if self.outer.q != 2:
+            raise PlanError(f"outer code must be binary, got alphabet {self.outer.q}")
         if self.q < 3:
             raise ValueError(f"target alphabet must be at least 3, got {self.q}")
         if self.dbmin < 1:
@@ -147,7 +146,7 @@ class ConstructionPlan:
     def weight_enumerator(self) -> WeightEnumerator:
         return weight_enumerator(self.outer)
 
-    def inner_for(self, weight: int) -> InnerCode:
+    def inner_for(self, weight: int) -> Code:
         if weight in self.inner:
             return self.inner[weight]
         if weight == 0:
@@ -155,10 +154,10 @@ class ConstructionPlan:
         raise PlanError(f"no inner code for outer weight {weight}")
 
     def validate(self) -> None:
-        if self.outer.size >= 2 and self.outer.min_distance() < self.dbmin:
-            raise PlanError(
-                f"outer minimum distance {self.outer.min_distance()} below {self.dbmin}"
-            )
+        if self.outer.size >= 2:
+            dist = min_hamming_distance(self.outer.words)
+            if dist < self.dbmin:
+                raise PlanError(f"outer minimum distance {dist} below {self.dbmin}")
         needed = self.weight_enumerator().nonzero_weights()
         for d in needed:
             inner = self.inner_for(d)

@@ -109,11 +109,15 @@ def min_hamming_distance(words: Iterable[Word]) -> int:
 
 @dataclass(frozen=True)
 class Code:
-    """Set of equal-length words over one alphabet."""
+    """Set of equal-length words over one alphabet.
+
+    A binary code may carry generator rows; they must span exactly its words.
+    """
 
     q: int
     n: int
     words: frozenset[Word]
+    generator: tuple[Word, ...] | None = None
     _dbmin_cache: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -127,47 +131,9 @@ class Code:
                 raise ValueError(f"word alphabet {w.q} differs from code alphabet {self.q}")
             if len(w) != self.n:
                 raise ValueError(f"word length {len(w)} differs from block length {self.n}")
-
-    @classmethod
-    def from_words(cls, words: Iterable[Word]) -> "Code":
-        ws = list(words)
-        if not ws:
-            raise ValueError("a code holds at least one word")
-        return cls(ws[0].q, len(ws[0]), frozenset(ws))
-
-    @classmethod
-    def from_strings(cls, q: int, texts: Iterable[str]) -> "Code":
-        return cls.from_words(Word.from_string(t, q) for t in texts)
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
-
-
-@dataclass(frozen=True)
-class BinaryBlockCode:
-    """Explicit binary codeword set, optionally backed by a generator matrix."""
-
-    n: int
-    words: frozenset[Word]
-    generator: tuple[Word, ...] | None = None
-    _min_dist_cache: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        if not self.words:
-            raise ValueError("a code holds at least one word")
-        for w in self.words:
-            if w.q != 2:
-                raise ValueError("binary block codes hold binary words only")
-            if len(w) != self.n:
-                raise ValueError(f"word length {len(w)} differs from block length {self.n}")
         if self.generator is not None:
+            if self.q != 2:
+                raise ValueError("generator rows are defined for binary codes only")
             rows = tuple(self.generator)
             object.__setattr__(self, "generator", rows)
             for row in rows:
@@ -180,29 +146,26 @@ class BinaryBlockCode:
                 raise ValueError("codeword count inconsistent with generator rank")
 
     @classmethod
-    def from_words(cls, words: Iterable[Word]) -> "BinaryBlockCode":
+    def from_words(cls, words: Iterable[Word]) -> "Code":
         ws = list(words)
         if not ws:
             raise ValueError("a code holds at least one word")
-        return cls(len(ws[0]), frozenset(ws))
+        return cls(ws[0].q, len(ws[0]), frozenset(ws))
 
     @classmethod
-    def from_strings(cls, texts: Iterable[str]) -> "BinaryBlockCode":
-        return cls.from_words(Word.from_string(t, 2) for t in texts)
+    def from_strings(cls, q: int, texts: Iterable[str]) -> "Code":
+        return cls.from_words(Word.from_string(t, q) for t in texts)
 
     @classmethod
-    def from_generator(cls, rows: Sequence[Word | str]) -> "BinaryBlockCode":
+    def from_generator(cls, rows: Sequence[Word | str]) -> "Code":
+        """The binary code spanned by the rows, which it keeps as its generator."""
         row_words = tuple(
             r if isinstance(r, Word) else Word.from_string(r, 2) for r in rows
         )
         if not row_words:
             raise ValueError("a generator needs at least one row")
         n = len(row_words[0])
-        return cls(n, _gf2_span(row_words, n), row_words)
-
-    @property
-    def q(self) -> int:
-        return 2
+        return cls(2, n, _gf2_span(row_words, n), row_words)
 
     @property
     def size(self) -> int:
@@ -218,18 +181,10 @@ class BinaryBlockCode:
     def sorted_words(self) -> list[Word]:
         return sorted(self.words)
 
-    def min_distance(self) -> int:
-        """Minimum pairwise Hamming distance (size >= 2 required)."""
-        if self._min_dist_cache is None:
-            object.__setattr__(
-                self, "_min_dist_cache", min_hamming_distance(self.words)
-            )
-        return self._min_dist_cache
-
     def nearest(self, received: Word) -> Word:
         """Closest codeword in Hamming distance; ties go to the smallest word."""
-        if received.q != 2 or len(received) != self.n:
-            raise ValueError("received word must be binary of matching length")
+        if received.q != self.q or len(received) != self.n:
+            raise ValueError("received word does not match the code's alphabet and length")
         best_word = None
         best = self.n + 1
         for w in self.sorted_words():
@@ -246,6 +201,8 @@ class BinaryBlockCode:
         """
         if len(pattern) != self.n:
             raise ValueError(f"pattern length {len(pattern)} differs from block length {self.n}")
+        if any(p is not None and not 0 <= p < self.q for p in pattern):
+            raise ValueError(f"pattern symbol outside alphabet of size {self.q}")
         matches = [
             w
             for w in self.sorted_words()
@@ -259,8 +216,10 @@ class BinaryBlockCode:
             )
         return matches[0]
 
-    def to_code(self) -> Code:
-        return Code(2, self.n, self.words)
+
+# perfbench's stream workload traces Code.nearest and Code.erasure_decode
+# under this older name; drop it when that workload is next changed.
+BinaryBlockCode = Code
 
 
 def _row_to_int(row: Word) -> int:
@@ -314,7 +273,7 @@ class WeightEnumerator:
         return [d for d, c in enumerate(self.counts) if c]
 
 
-def weight_enumerator(code: BinaryBlockCode) -> WeightEnumerator:
+def weight_enumerator(code: Code) -> WeightEnumerator:
     """Count codewords of each Hamming weight."""
     counts = [0] * (code.n + 1)
     for w in code.words:

@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from .core import BinaryBlockCode, Code, Word
+from .core import Code, Word
 
 
-def zero_code(n: int) -> BinaryBlockCode:
+def zero_code(n: int) -> Code:
     """The singleton code containing only the all-zero word (n = 0 allowed)."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    return BinaryBlockCode(n, frozenset({Word(2, (0,) * n)}))
+    return Code(2, n, frozenset({Word(2, (0,) * n)}))
 
 
-def repetition(n: int) -> BinaryBlockCode:
+def repetition(n: int) -> Code:
     """[n, 2, n] repetition code."""
     if n < 1:
         raise ValueError("repetition code needs length >= 1")
-    return BinaryBlockCode.from_generator([Word(2, (1,) * n)])
+    return Code.from_generator([Word(2, (1,) * n)])
 
 
-def single_parity_check(n: int) -> BinaryBlockCode:
+def single_parity_check(n: int) -> Code:
     """[n, 2^(n-1), 2] even-weight code, generated by a staircase of adjacent pairs.
 
     Rows run right to left: for n = 5 they are 00011, 00110, 01100, 11000.
@@ -32,12 +32,12 @@ def single_parity_check(n: int) -> BinaryBlockCode:
         symbols[n - 2 - j] = 1
         symbols[n - 1 - j] = 1
         rows.append(Word(2, tuple(symbols)))
-    return BinaryBlockCode.from_generator(rows)
+    return Code.from_generator(rows)
 
 
-def extended_hamming_8_4_4() -> BinaryBlockCode:
+def extended_hamming_8_4_4() -> Code:
     """[8, 16, 4] extended Hamming code with weight enumerator 1, 14, 1 at 0, 4, 8."""
-    return BinaryBlockCode.from_generator(
+    return Code.from_generator(
         [
             "10001101",
             "01001011",
@@ -47,9 +47,9 @@ def extended_hamming_8_4_4() -> BinaryBlockCode:
     )
 
 
-def nonlinear_5_4_3() -> BinaryBlockCode:
+def nonlinear_5_4_3() -> Code:
     """Non-linear [5, 4, 3] binary code; its weights are 1, 2, 2, 5."""
-    return BinaryBlockCode.from_strings(["00100", "11000", "00011", "11111"])
+    return Code.from_strings(2, ["00100", "11000", "00011", "11111"])
 
 
 def ternary_5_27_3() -> Code:

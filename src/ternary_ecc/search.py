@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .construct import ConstructionPlan, build_code
-from .core import BinaryBlockCode, Code, Word
+from .core import Code, Word
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
@@ -276,6 +276,13 @@ _BALL_MIN = 48
 # Branch-and-bound node limit before a dense instance escalates to the
 # integer-programming formulation.
 _NODE_CAP = 300_000
+
+# Node limit of the reverse tail loop, which has no integer-programming
+# fallback: past it exact_clique refuses. Over ten times the largest known
+# count of a search that finishes: about 1.8M nodes, for the plain search of
+# unrestricted n=5, d=3 over Hamming weights 0..3 (restricted n=7, d=3 takes
+# about 160k).
+_TAIL_NODE_CAP = 20_000_000
 
 
 class _NodeCapReached(Exception):
@@ -568,7 +575,8 @@ def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Cliq
     order, with radius-t_A balls as color classes once dbmin >= 3; there the
     search is node-capped and a dense instance that hits the cap is settled
     by the integer program instead. Every other graph is relabeled by
-    decreasing degree and takes the uncapped tail loop.
+    decreasing degree and takes the tail loop, which raises
+    BudgetExceededError once it has spent _TAIL_NODE_CAP nodes.
     """
     edges = graph.edge_count()
     if edges > max_edges:
@@ -611,18 +619,27 @@ def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Cliq
         start_mask = 0
         for v in _iter_bits(seed_mask):
             start_mask |= 1 << position[v]
-        weight, mask = _branch_and_bound(
-            adj, [graph.weights[old] for old in order], seed_result.total_weight, start_mask
-        )
+        try:
+            weight, mask = _branch_and_bound(
+                adj,
+                [graph.weights[old] for old in order],
+                seed_result.total_weight,
+                start_mask,
+                node_cap=_TAIL_NODE_CAP,
+            )
+        except _NodeCapReached:
+            raise BudgetExceededError(
+                f"search exceeded the budget of {_TAIL_NODE_CAP} branch-and-bound nodes"
+            ) from None
         labels = [graph.vertices[old] for old in order]
     members = tuple(sorted(labels[v] for v in _iter_bits(mask)))
     return CliqueResult(members, weight, exact=True)
 
 
-_OPTIMAL_BINARY: dict[tuple[int, int], BinaryBlockCode] = {}
+_OPTIMAL_BINARY: dict[tuple[int, int], Code] = {}
 
 
-def optimal_binary_code(length: int, min_dist: int) -> BinaryBlockCode:
+def optimal_binary_code(length: int, min_dist: int) -> Code:
     """A largest binary code of this length with minimum Hamming distance >= min_dist.
 
     Distances up to 2 have closed forms (the full space and the even-weight
@@ -640,23 +657,19 @@ def optimal_binary_code(length: int, min_dist: int) -> BinaryBlockCode:
         code = zero_code(length)
     elif min_dist == 1:
         rows = [Word(2, tuple(1 if j == i else 0 for j in range(length))) for i in range(length)]
-        code = BinaryBlockCode.from_generator(rows)
+        code = Code.from_generator(rows)
     elif min_dist == 2:
         code = single_parity_check(length) if length >= 2 else zero_code(1)
     else:
         graph = _binary_hamming_graph(length, min_dist)
         result = exact_clique(graph)
-        code = BinaryBlockCode(length, frozenset(result.members))
+        code = Code(2, length, frozenset(result.members))
     _OPTIMAL_BINARY[key] = code
     return code
 
 
-def optimal_binary_code_size(
-    length: int, min_dist: int, overrides: dict[int, int] | None = None
-) -> int:
-    """Size of the best binary code; overrides supply known values by length."""
-    if overrides and length in overrides:
-        return overrides[length]
+def optimal_binary_code_size(length: int, min_dist: int) -> int:
+    """Size of the best binary code of this length and minimum distance."""
     return optimal_binary_code(length, min_dist).size
 
 
@@ -701,7 +714,7 @@ def search_code(
         code = Code(3, n, frozenset(result.members))
     else:
         inner_dist = math.ceil(dbmin / 2)
-        outer = BinaryBlockCode(n, frozenset(result.members))
+        outer = Code(2, n, frozenset(result.members))
         needed = {sum(w.symbols) for w in result.members}
         plan = ConstructionPlan(
             outer,

@@ -26,7 +26,6 @@ from ternary_ecc.construct import (
     scatter_into_support,
 )
 from ternary_ecc.core import (
-    BinaryBlockCode,
     Code,
     WeightEnumerator,
     Word,
@@ -225,7 +224,7 @@ def test_criterion_6_codec_guarantee(plan_5_21_3):
 
     mini = StreamCodec(
         ConstructionPlan(
-            BinaryBlockCode.from_strings(["1100", "0011"]),
+            Code.from_strings(2, ["1100", "0011"]),
             {2: repetition(2)},
             dbmin=4,
         )

@@ -34,10 +34,10 @@ def optimal_code_file(tmp_path):
 @pytest.fixture()
 def plan_files(tmp_path):
     """Write the [5, 21, 3] plan and its component code files."""
-    save_code(nonlinear_5_4_3().to_code(), tmp_path / "outer.code")
-    save_code(zero_code(1).to_code(), tmp_path / "w1.code")
-    save_code(repetition(2).to_code(), tmp_path / "w2.code")
-    save_code(single_parity_check(5).to_code(), tmp_path / "w5.code")
+    save_code(nonlinear_5_4_3(), tmp_path / "outer.code")
+    save_code(zero_code(1), tmp_path / "w1.code")
+    save_code(repetition(2), tmp_path / "w2.code")
+    save_code(single_parity_check(5), tmp_path / "w5.code")
     plan = {"q": 3, "dbmin": 3, "outer": "outer.code", "inner": _PLAN_INNER}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan), encoding="ascii")
@@ -156,7 +156,7 @@ class TestConstructCommand:
         assert min_dist_b(code) == 3
 
     def test_quaternary_build(self, capsys, tmp_path):
-        save_code(repetition(3).to_code(), tmp_path / "outer3.code")
+        save_code(repetition(3), tmp_path / "outer3.code")
         from ternary_ecc.core import Code
 
         save_code(Code.from_strings(3, ["000", "111", "222"]), tmp_path / "w3.code")
@@ -184,6 +184,18 @@ class TestConstructCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "error" in err
+
+    def test_ternary_outer_is_refused(self, capsys, tmp_path):
+        save_code(ternary_5_27_3(), tmp_path / "outer.code")
+        save_code(zero_code(1), tmp_path / "w1.code")
+        argv = [
+            "construct",
+            "--outer", str(tmp_path / "outer.code"),
+            "--inner", f"1={tmp_path / 'w1.code'}",
+            "--dbmin", "3",
+        ]
+        assert main(argv) == 1
+        assert "binary" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestSearchCommand:
@@ -289,6 +301,11 @@ class TestErrorPaths:
         bad.write_text("3 5 1\n012\n", encoding="ascii")
         assert main(["mindist", "--code", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_search_node_budget_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(ternary_ecc.search, "_TAIL_NODE_CAP", 10)
+        assert main(["search", "--n", "5", "--d", "3", "--mode", "restricted"]) == 1
+        assert "budget" in json.loads(capsys.readouterr().err)["error"]
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["mindist", "--code", str(tmp_path / "nope.code")]) == 1

@@ -13,7 +13,7 @@ from ternary_ecc.codec import (
     strip_padding,
 )
 from ternary_ecc.construct import ConstructionPlan
-from ternary_ecc.core import BinaryBlockCode, ErasureDecodeError, Word
+from ternary_ecc.core import Code, ErasureDecodeError, Word
 from ternary_ecc.library import repetition, zero_code
 
 
@@ -24,7 +24,7 @@ def w(text: str, q: int = 3) -> Word:
 @pytest.fixture(scope="module")
 def mini_plan() -> ConstructionPlan:
     """Two antipodal outer words of weight 2, inner repetition pairs."""
-    outer = BinaryBlockCode.from_strings(["1100", "0011"])
+    outer = Code.from_strings(2, ["1100", "0011"])
     return ConstructionPlan(outer, {2: repetition(2)}, dbmin=4)
 
 
@@ -104,7 +104,7 @@ class TestEncodeBlock:
         assert stream.drained
 
     def test_requires_power_of_two_sizes(self):
-        outer = BinaryBlockCode.from_strings(["000", "011", "101"])
+        outer = Code.from_strings(2, ["000", "011", "101"])
         plan = ConstructionPlan(outer, {2: repetition(2)}, dbmin=1)
         with pytest.raises(CodecError):
             StreamCodec(plan)
@@ -157,7 +157,7 @@ class TestDecodeBlock:
                         assert got is None or got == sent
 
     def test_ambiguous_erasures_fail(self):
-        outer = BinaryBlockCode.from_strings(["1100"])
+        outer = Code.from_strings(2, ["1100"])
         plan = ConstructionPlan(outer, {2: repetition(2)}, dbmin=4)
         codec = StreamCodec(plan)
         with pytest.raises(ErasureDecodeError):
@@ -219,15 +219,13 @@ class TestStreams:
 
 class TestCodecGuards:
     def test_ternary_only(self):
-        from ternary_ecc.core import Code
-
         inner = Code.from_strings(3, ["000", "111", "222"])
         plan = ConstructionPlan(repetition(3), {3: inner}, dbmin=3, q=4)
         with pytest.raises(CodecError):
             StreamCodec(plan)
 
     def test_plan_without_information_rejected(self):
-        outer = BinaryBlockCode.from_strings(["110"])
+        outer = Code.from_strings(2, ["110"])
         plan = ConstructionPlan(outer, {2: zero_code(2)}, dbmin=4)
         with pytest.raises(CodecError):
             StreamCodec(plan)

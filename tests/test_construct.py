@@ -18,7 +18,6 @@ from ternary_ecc.construct import (
     scatter_into_support,
 )
 from ternary_ecc.core import (
-    BinaryBlockCode,
     Code,
     WeightEnumerator,
     Word,
@@ -118,7 +117,7 @@ class TestPlanValidation:
 
     def test_inner_distance_shortfall(self):
         # distance-1 inner code cannot support a distance-3 target
-        bad_inner = BinaryBlockCode.from_strings(["00000", "00001"])
+        bad_inner = Code.from_strings(2, ["00000", "00001"])
         plan = ConstructionPlan(
             nonlinear_5_4_3(),
             {1: zero_code(1), 2: repetition(2), 5: bad_inner},
@@ -147,6 +146,21 @@ class TestPlanValidation:
             {1: zero_code(2), 2: repetition(2), 5: single_parity_check(5)},
             dbmin=3,
         )
+        with pytest.raises(PlanError):
+            plan.validate()
+
+    def test_outer_code_must_be_binary(self):
+        with pytest.raises(PlanError):
+            ConstructionPlan(
+                Code.from_strings(3, ["12", "21"]), {2: repetition(2)}, dbmin=2
+            ).validate()
+
+    def test_qary_inner_distance_is_hamming(self):
+        # {1, 2} over three symbols has dist_b 2 but Hamming distance 1, and
+        # inner codes need Hamming distance ceil(dbmin / 2) = 2
+        inner = Code.from_strings(3, ["1", "2"])
+        assert min_dist_b(inner) == 2
+        plan = ConstructionPlan(Code.from_strings(2, ["1"]), {1: inner}, dbmin=3, q=4)
         with pytest.raises(PlanError):
             plan.validate()
 
@@ -199,7 +213,7 @@ class TestBuildCode:
         assert min_dist_b(code) == 3
 
     def test_invalid_plan_rejected(self):
-        bad_inner = BinaryBlockCode.from_strings(["00000", "00001"])
+        bad_inner = Code.from_strings(2, ["00000", "00001"])
         plan = ConstructionPlan(
             nonlinear_5_4_3(),
             {1: zero_code(1), 2: repetition(2), 5: bad_inner},

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ternary_ecc.core import (
-    BinaryBlockCode,
     Code,
     CodeFormatError,
     ErasureDecodeError,
@@ -116,39 +115,48 @@ class TestWeightEnumerator:
             assert weight_enumerator(code).total == code.size
 
 
-class TestBinaryBlockCode:
+class TestBinaryCode:
     def test_generator_span_checked(self):
         rows = (w("110", 2), w("011", 2))
         words = frozenset({w("000", 2), w("110", 2), w("011", 2)})  # missing 101
         with pytest.raises(ValueError):
-            BinaryBlockCode(3, words, rows)
+            Code(2, 3, words, rows)
+
+    def test_generator_only_for_binary_codes(self):
+        words = frozenset({w("0"), w("1"), w("2")})
+        with pytest.raises(ValueError):
+            Code(3, 1, words, (w("1"),))
 
     def test_info_len(self):
         assert extended_hamming_8_4_4().info_len == 4
         assert nonlinear_5_4_3().info_len == 2
         assert zero_code(3).info_len == 0
-        three = BinaryBlockCode.from_strings(["00", "01", "10"])
+        three = Code.from_strings(2, ["00", "01", "10"])
         assert three.info_len is None
 
     def test_min_distance(self):
-        assert repetition(5).min_distance() == 5
-        assert single_parity_check(6).min_distance() == 2
-        assert extended_hamming_8_4_4().min_distance() == 4
-        assert nonlinear_5_4_3().min_distance() == 3
+        assert min_hamming_distance(repetition(5).words) == 5
+        assert min_hamming_distance(single_parity_check(6).words) == 2
+        assert min_hamming_distance(extended_hamming_8_4_4().words) == 4
+        assert min_hamming_distance(nonlinear_5_4_3().words) == 3
 
     def test_nearest_with_tie_break(self):
-        code = BinaryBlockCode.from_strings(["00", "11"])
+        code = Code.from_strings(2, ["00", "11"])
         assert code.nearest(w("01", 2)) == w("00", 2)  # tie, smallest wins
         assert code.nearest(w("11", 2)) == w("11", 2)
+        with pytest.raises(ValueError):
+            code.nearest(w("11"))
 
     def test_erasure_decode(self):
-        code = BinaryBlockCode.from_strings(["00", "11"])
+        code = Code.from_strings(2, ["00", "11"])
         assert code.erasure_decode((None, 1)) == w("11", 2)
         assert code.erasure_decode((0, None)) == w("00", 2)
         with pytest.raises(ErasureDecodeError):
             code.erasure_decode((None, None))
         with pytest.raises(ErasureDecodeError):
-            BinaryBlockCode.from_strings(["01", "10"]).erasure_decode((0, 0))
+            Code.from_strings(2, ["01", "10"]).erasure_decode((0, 0))
+        with pytest.raises(ValueError):
+            code.erasure_decode((2, None))
 
     def test_parity_check_is_even_weight_code(self):
         code = single_parity_check(5)

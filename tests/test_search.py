@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from ternary_ecc.core import Word, hamming_weight
+from ternary_ecc import search
+from ternary_ecc.core import Word, hamming_weight, min_hamming_distance
 from ternary_ecc.metric import dist_b, min_dist_b
 from ternary_ecc.search import (
     BudgetExceededError,
@@ -127,7 +128,7 @@ class TestOptimalBinaryCodes:
     def test_materialized_codes_meet_distance(self):
         for length, dist in ((6, 3), (7, 4), (5, 3)):
             code = optimal_binary_code(length, dist)
-            assert code.min_distance() >= dist
+            assert min_hamming_distance(code.words) >= dist
 
     def test_pinned_members(self):
         # these searches take the plain unit-weight path and decide the inner
@@ -142,9 +143,6 @@ class TestOptimalBinaryCodes:
         for (length, dist), words in pinned.items():
             code = optimal_binary_code(length, dist)
             assert " ".join(str(w) for w in code.sorted_words()) == words
-
-    def test_overrides(self):
-        assert optimal_binary_code_size(12, 4, overrides={12: 256}) == 256
 
     def test_degenerate_lengths(self):
         assert optimal_binary_code_size(0, 3) == 1
@@ -294,6 +292,14 @@ class TestExact:
         graph = build_unrestricted_graph(4, 2)
         with pytest.raises(BudgetExceededError):
             exact_clique(graph, max_edges=10)
+
+    def test_tail_loop_node_budget(self, monkeypatch):
+        # the tail loop has no integer-programming fallback, so it refuses
+        graph = _binary_hamming_graph(7, 3)
+        assert exact_clique(graph).total_weight == 16
+        monkeypatch.setattr(search, "_TAIL_NODE_CAP", 50)
+        with pytest.raises(BudgetExceededError):
+            exact_clique(graph)
 
     def test_symmetry_pruning_matches_plain_search(self):
         # the word-symmetric fast path must agree with the generic engine, on
