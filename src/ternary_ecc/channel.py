@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .core import Word
 
@@ -72,25 +75,26 @@ def split_seed(seed: int, index: int) -> int:
     return seed * 0x9E3779B97F4A7C15 + index + 1
 
 
+@lru_cache(maxsize=64)
+def _cumulative_rows(spec: ChannelSpec) -> tuple[tuple[float, ...], ...]:
+    """Running sums of each transition row, added left to right."""
+    return tuple(tuple(accumulate(row)) for row in transition_matrix(spec))
+
+
 def transmit(spec: ChannelSpec, x: Word, rng: int | random.Random) -> Word:
-    """Send a word through the channel, drawing one sample per symbol in order."""
+    """Send a word through the channel, drawing one sample per symbol in order.
+
+    A draw u becomes the first output whose running row sum exceeds u, or
+    q - 1 when rounding leaves the last sum at or below u.
+    """
     if x.q != spec.q:
         raise ValueError(f"word alphabet {x.q} differs from channel alphabet {spec.q}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    rows = transition_matrix(spec)
-    out = []
-    for s in x.symbols:
-        u = rng.random()
-        acc = 0.0
-        y = spec.q - 1
-        for candidate, prob in enumerate(rows[s]):
-            acc += prob
-            if u < acc:
-                y = candidate
-                break
-        out.append(y)
-    return Word(spec.q, tuple(out))
+    rows = _cumulative_rows(spec)
+    last = spec.q - 1
+    draw = rng.random
+    return Word(spec.q, tuple(min(bisect_right(rows[s], draw()), last) for s in x.symbols))
 
 
 def entropy_trits(t: float) -> float:

@@ -121,6 +121,8 @@ class Code:
     _dbmin_cache: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Sorted words, and per (position, symbol) the mask of their indices.
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", frozenset(self.words))
@@ -178,20 +180,76 @@ class Code:
         k = m.bit_length() - 1
         return k if 1 << k == m else None
 
+    def _codebook(self) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
+        """The cached index: codeword j is bit j of every mask, in sorted order."""
+        if self._index is None:
+            words = tuple(sorted(self.words))
+            columns = [[0] * self.q for _ in range(self.n)]
+            for j, w in enumerate(words):
+                for column, s in zip(columns, w.symbols):
+                    column[s] |= 1 << j
+            object.__setattr__(self, "_index", (words, tuple(map(tuple, columns))))
+        return self._index
+
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
+        return list(self._codebook()[0])
+
+    def _words_at(self, mask: int) -> list[Word]:
+        """Codewords at the set bits of mask, smallest first."""
+        words = self._codebook()[0]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(words[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def _scan(
+        self, symbols: Sequence[int | None], cost: str
+    ) -> tuple[int, list[list[int]]]:
+        """Costs of all codewords against a received word, one pass per position.
+
+        "a" forbids non-zero/non-zero disagreements and counts zero-involved
+        ones; "ml" also counts matching zeros, as a second class; "hamming"
+        counts all disagreements; "consistent" forbids them. None positions
+        are free. Returns the mask of finite-cost codewords and, per counted
+        class, bit planes: plane k holds bit k of every codeword's count.
+        """
+        words, columns = self._codebook()
+        full = (1 << len(words)) - 1
+        forbidden = 0
+        planes: list[list[int]] = [[], []]
+        for column, b in zip(columns, symbols):
+            if b is None:
+                continue
+            disagree = full ^ column[b]
+            if cost == "consistent":
+                forbidden |= disagree
+                continue
+            if cost == "hamming":
+                counted = (disagree,)
+            else:
+                zero_involved = column[0] if b else disagree
+                forbidden |= disagree ^ zero_involved
+                counted = (zero_involved,)
+                if cost == "ml":
+                    counted += (0 if b else column[0],)
+            for class_planes, carry in zip(planes, counted):
+                for k, plane in enumerate(class_planes):
+                    if not carry:
+                        break
+                    class_planes[k], carry = plane ^ carry, plane & carry
+                if carry:
+                    class_planes.append(carry)
+        return full & ~forbidden, planes
 
     def nearest(self, received: Word) -> Word:
         """Closest codeword in Hamming distance; ties go to the smallest word."""
         if received.q != self.q or len(received) != self.n:
             raise ValueError("received word does not match the code's alphabet and length")
-        best_word = None
-        best = self.n + 1
-        for w in self.sorted_words():
-            d = hamming_distance(w, received)
-            if d < best:
-                best, best_word = d, w
-        return best_word
+        allowed, (planes, _) = self._scan(received.symbols, "hamming")
+        best, _ = _least_count(allowed, planes)
+        return self._words_at(best & -best)[0]
 
     def erasure_decode(self, pattern: Sequence[int | None]) -> Word:
         """Unique codeword agreeing with every non-erased position of the pattern.
@@ -203,18 +261,27 @@ class Code:
             raise ValueError(f"pattern length {len(pattern)} differs from block length {self.n}")
         if any(p is not None and not 0 <= p < self.q for p in pattern):
             raise ValueError(f"pattern symbol outside alphabet of size {self.q}")
-        matches = [
-            w
-            for w in self.sorted_words()
-            if all(p is None or p == s for p, s in zip(pattern, w.symbols))
-        ]
+        matches, _ = self._scan(pattern, "consistent")
         if not matches:
             raise ErasureDecodeError("no codeword consistent with the unerased positions")
-        if len(matches) > 1:
+        if matches.bit_count() > 1:
             raise ErasureDecodeError(
-                f"{len(matches)} codewords consistent with the unerased positions"
+                f"{matches.bit_count()} codewords consistent with the unerased positions"
             )
-        return matches[0]
+        return self._words_at(matches)[0]
+
+
+def _least_count(candidates: int, planes: Sequence[int]) -> tuple[int, int]:
+    """The candidates of least bit-plane count, and that count (meaningless
+    when there are no candidates); found by descending from the top plane."""
+    count = 0
+    for k in range(len(planes) - 1, -1, -1):
+        rest = candidates & ~planes[k]
+        if rest:
+            candidates = rest
+        else:
+            count |= 1 << k
+    return candidates, count
 
 
 # perfbench's stream workload traces Code.nearest and Code.erasure_decode

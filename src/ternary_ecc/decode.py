@@ -1,14 +1,13 @@
-"""Brute-force decoders over explicit codebooks and Monte Carlo error-rate runs."""
+"""Codebook decoders over a bit-sliced scan, and Monte Carlo error-rate runs."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from .channel import ChannelSpec, split_seed, transmit
-from .core import Code, Word
-from .metric import INF, dist_a, dist_ml
+from .core import Code, Word, _least_count
+from .metric import INF, _check_ml, _ml_cost
 
 DECODER_KINDS = ("da", "ml")
 
@@ -30,36 +29,47 @@ class DecodeResult:
         return self.chosen is None
 
 
-def _scan(code: Code, measure: Callable[[Word], float]) -> DecodeResult:
-    best = INF
-    minimizers: list[Word] = []
-    for candidate in code.sorted_words():
-        d = measure(candidate)
-        if d == INF:
-            continue
-        if d < best:
-            best = d
-            minimizers = [candidate]
-        elif d == best:
-            minimizers.append(candidate)
+def _result(code: Code, minimizers: int, distance: float) -> DecodeResult:
     if not minimizers:
         return DecodeResult(None, frozenset(), INF)
-    # sorted_words() order makes minimizers[0] the lexicographically smallest
-    return DecodeResult(minimizers[0], frozenset(minimizers), best)
+    words = code._words_at(minimizers)
+    # codeword j is bit j in sorted order, so words[0] is the smallest minimizer
+    return DecodeResult(words[0], frozenset(words), distance)
 
 
 def decode_da(code: Code, received: Word) -> DecodeResult:
     """Decode by minimizing dist_a; ties go to the smallest codeword."""
     if received.q != code.q or len(received) != code.n:
         raise ValueError("received word does not match the code parameters")
-    return _scan(code, lambda w: dist_a(w, received))
+    allowed, (planes, _) = code._scan(received.symbols, "a")
+    return _result(code, *_least_count(allowed, planes))
 
 
 def decode_ml(code: Code, received: Word, p: float) -> DecodeResult:
-    """Maximum-likelihood decoding via the negative log-likelihood distance."""
+    """Maximum-likelihood decoding via the negative log-likelihood distance.
+
+    Codewords are grouped by their (matching zeros, zero-involved
+    disagreements) counts, and each group is costed by dist_ml's own
+    expression, so distances and ties match it exactly.
+    """
     if received.q != code.q or len(received) != code.n:
         raise ValueError("received word does not match the code parameters")
-    return _scan(code, lambda w: dist_ml(w, received, p))
+    _check_ml(p, code.q)
+    allowed, (s2_planes, s0_planes) = code._scan(received.symbols, "ml")
+    groups = [allowed] if allowed else []
+    for plane in s0_planes + s2_planes:
+        groups = [part for g in groups for part in (g & plane, g & ~plane) if part]
+    best, minimizers = INF, 0
+    for group in groups:
+        j = (group & -group).bit_length() - 1
+        s0 = sum(((plane >> j) & 1) << k for k, plane in enumerate(s0_planes))
+        s2 = sum(((plane >> j) & 1) << k for k, plane in enumerate(s2_planes))
+        d = _ml_cost(s0, code.n - s0 - s2, s2, p)
+        if d < best:
+            best, minimizers = d, group
+        elif d == best and d != INF:
+            minimizers |= group
+    return _result(code, minimizers, best)
 
 
 @dataclass(frozen=True)

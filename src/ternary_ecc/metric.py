@@ -58,22 +58,32 @@ def dist_ml(u: Word, v: Word, p: float) -> float:
     """Negative natural log of the ternary transition probability, inf if zero.
 
     At p = 0 the channel is noiseless: the distance is 0 between equal words
-    and inf otherwise. p = 2/3 is rejected because log(p/2) and log(1-p)
-    coincide there and the measure stops ordering likelihoods.
+    and inf otherwise; so too when p is so small that p/2 underflows to 0.
+    p = 2/3 is rejected because log(p/2) and log(1-p) coincide there and the
+    measure stops ordering likelihoods.
     """
-    if u.q != 3 or v.q != 3:
-        raise ValueError("the likelihood distance is defined over the ternary alphabet")
-    if not 0.0 <= p < 2.0 / 3.0:
-        raise ValueError(f"error probability {p} outside [0, 2/3)")
+    _check_ml(p, u.q, v.q)
     prof = agreement_profile(u, v)
     if prof.s3 > 0:
         return INF
-    if p == 0.0:
-        return 0.0 if prof.s2 == 0 else INF
+    return _ml_cost(prof.s0, prof.s1, prof.s2, p)
+
+
+def _check_ml(p: float, *alphabets: int) -> None:
+    if any(q != 3 for q in alphabets):
+        raise ValueError("the likelihood distance is defined over the ternary alphabet")
+    if not 0.0 <= p < 2.0 / 3.0:
+        raise ValueError(f"error probability {p} outside [0, 2/3)")
+
+
+def _ml_cost(s0: int, s1: int, s2: int, p: float) -> float:
+    """dist_ml of a pair with these agreement counts and no s3 position."""
+    if p / 2.0 == 0.0:
+        return 0.0 if s2 == 0 else INF
     return (
-        -prof.s0 * math.log(1.0 - p)
-        - prof.s1 * math.log(1.0 - p / 2.0)
-        - prof.s2 * math.log(p / 2.0)
+        -s0 * math.log(1.0 - p)
+        - s1 * math.log(1.0 - p / 2.0)
+        - s2 * math.log(p / 2.0)
     )
 
 

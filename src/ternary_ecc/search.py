@@ -284,6 +284,11 @@ _NODE_CAP = 300_000
 # about 160k).
 _TAIL_NODE_CAP = 20_000_000
 
+# Wall-clock limit in seconds handed to the HiGHS integer program; past it
+# exact_clique refuses. The slowest known solve, optimising the unrestricted
+# n=5, d=3 graph to [5,27,3], takes about 70 s, so this leaves over 8x.
+_MILP_TIME_LIMIT = 600.0
+
 
 class _NodeCapReached(Exception):
     """The combinatorial search exceeded its node budget."""
@@ -334,7 +339,8 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
     once; pair constraints cover the non-adjacent pairs no ball contains
     (needed when dbmin is even). Intended for dense word graphs where the
     combinatorial bound stalls; the solved vector is re-verified as a clique.
-    scipy is imported here because no other path needs it.
+    Raises BudgetExceededError past _MILP_TIME_LIMIT seconds. scipy is
+    imported here because no other path needs it.
     """
     import numpy as np
     from scipy import optimize, sparse
@@ -368,7 +374,12 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
         constraints=optimize.LinearConstraint(matrix, -np.inf, 1.0),
         integrality=np.ones(v_count),
         bounds=optimize.Bounds(0.0, 1.0),
+        options={"time_limit": _MILP_TIME_LIMIT},
     )
+    if result.status == 1:
+        raise BudgetExceededError(
+            f"integer program exceeded its time limit of {_MILP_TIME_LIMIT} s"
+        )
     if result.status != 0:
         raise RuntimeError(f"integer program failed with status {result.status}")
     mask = 0

@@ -6,6 +6,7 @@ import pytest
 
 from ternary_ecc.construct import ConstructionPlan, build_code
 from ternary_ecc.library import (
+    extended_hamming_8_4_4,
     nonlinear_5_4_3,
     repetition,
     single_parity_check,
@@ -28,6 +29,21 @@ def plan_5_21_3() -> ConstructionPlan:
 @pytest.fixture(scope="session")
 def code_5_21_3(plan_5_21_3):
     return build_code(plan_5_21_3)
+
+
+@pytest.fixture(scope="session")
+def plan_8_241_4() -> ConstructionPlan:
+    """Outer extended Hamming [8,4,4] with the zero word and even-weight inner codes."""
+    return ConstructionPlan(
+        extended_hamming_8_4_4(),
+        {0: zero_code(0), 4: single_parity_check(4), 8: single_parity_check(8)},
+        dbmin=4,
+    )
+
+
+@pytest.fixture(scope="session")
+def code_8_241_4(plan_8_241_4):
+    return build_code(plan_8_241_4)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ import math
 import random
 from itertools import product
 
-from ternary_ecc.metric import dist_b
+from ternary_ecc.core import Code, ErasureDecodeError, Word, hamming_distance
+from ternary_ecc.decode import DecodeResult
+from ternary_ecc.metric import INF, dist_a, dist_b, dist_ml
 from ternary_ecc.search import CliqueResult, SearchGraph
 
 
@@ -195,3 +197,57 @@ def greedy_clique_reference(
             best_members = members
     chosen = tuple(sorted(graph.vertices[v] for v in best_members))
     return CliqueResult(chosen, best_weight, exact=False, seed=seed, iterations=iterations)
+
+
+def scan_reference(code: Code, measure) -> DecodeResult:
+    """decode's codebook scan as it was before bit slicing: one measure call
+    per codeword in sorted order, keeping every minimizer."""
+    best = INF
+    minimizers: list[Word] = []
+    for candidate in sorted(code.words):
+        d = measure(candidate)
+        if d == INF:
+            continue
+        if d < best:
+            best = d
+            minimizers = [candidate]
+        elif d == best:
+            minimizers.append(candidate)
+    if not minimizers:
+        return DecodeResult(None, frozenset(), INF)
+    return DecodeResult(minimizers[0], frozenset(minimizers), best)
+
+
+def decode_da_reference(code: Code, received: Word) -> DecodeResult:
+    return scan_reference(code, lambda w: dist_a(w, received))
+
+
+def decode_ml_reference(code: Code, received: Word, p: float) -> DecodeResult:
+    return scan_reference(code, lambda w: dist_ml(w, received, p))
+
+
+def nearest_reference(code: Code, received: Word) -> Word:
+    """Code.nearest as a linear scan; the first closest word in sorted order wins."""
+    best_word = None
+    best = code.n + 1
+    for w in sorted(code.words):
+        d = hamming_distance(w, received)
+        if d < best:
+            best, best_word = d, w
+    return best_word
+
+
+def erasure_decode_reference(code: Code, pattern) -> Word:
+    """Code.erasure_decode as a linear scan over the sorted codebook."""
+    matches = [
+        w
+        for w in sorted(code.words)
+        if all(p is None or p == s for p, s in zip(pattern, w.symbols))
+    ]
+    if not matches:
+        raise ErasureDecodeError("no codeword consistent with the unerased positions")
+    if len(matches) > 1:
+        raise ErasureDecodeError(
+            f"{len(matches)} codewords consistent with the unerased positions"
+        )
+    return matches[0]

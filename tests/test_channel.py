@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from ternary_ecc.channel import (
     transition_prob,
     transmit,
 )
-from ternary_ecc.core import Word
+from ternary_ecc.core import Word, all_words
 
 from oracles import joint_mutual_information, maximize_unimodal, ternary_matrix, ternary_mi
 
@@ -78,6 +79,25 @@ class TestTransmit:
         assert transmit(spec, word, 42) == transmit(spec, word, 42)
         outs = {transmit(spec, word, split_seed(9, i)) for i in range(16)}
         assert len(outs) > 1
+
+    @pytest.mark.parametrize(
+        "q, p, digest",
+        [
+            (3, 0.02, "be691ca61fd11188ef14ae8c197f8930703349f0442e875c397c4b26327378dc"),
+            (3, 0.3, "83f28f15fd666a7b09601419bfb745c0bef601fa483010bbedc2f6b4a3c34e11"),
+            (3, 0.6, "319aa3a0341520eea383fb84c45209f2291fdbb76a37c7549662b2655dea2454"),
+            (4, 0.5, "b558cedea8df03a2fda6699f701fbf9b5038987d8e8c0876fddf9d3dd0b3b11b"),
+        ],
+    )
+    def test_draws_are_pinned(self, q, p, digest):
+        # 2000 words received from every input of length 3 in turn; any change
+        # to a single draw changes the digest
+        spec = ChannelSpec(q, p)
+        words = list(all_words(q, 3))
+        text = "".join(
+            str(transmit(spec, words[i % len(words)], split_seed(3, i))) for i in range(2000)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_empirical_zero_to_one_rate(self):
         # law of large numbers against the transition matrix entry p/2 = 0.15

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +125,29 @@ class TestSimulateCommand:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "decoder, expected",
+        [
+            (
+                "da",
+                '{"correct": 320, "decoder": "da", "p": 0.3, "seed": 7, "trials": 400, '
+                '"undecodable": 0, "word_error_rate": 0.2, "word_errors": 80}',
+            ),
+            (
+                "ml",
+                '{"correct": 317, "decoder": "ml", "p": 0.3, "seed": 7, "trials": 400, '
+                '"undecodable": 0, "word_error_rate": 0.2075, "word_errors": 83}',
+            ),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, optimal_code_file, decoder, expected):
+        argv = [
+            "simulate", "--code", str(optimal_code_file), "--p", "0.3",
+            "--decoder", decoder, "--trials", "400", "--seed", "7",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_seed_required(self, optimal_code_file):
         argv = [
@@ -274,6 +299,44 @@ class TestCodecCommands:
         assert encode_payload["bits_in"] == 15
         assert main(["decode", "--plan", str(plan_files), "--in", str(words_path), "--out", str(bits_out)]) == 0
         assert bits_out.read_text(encoding="ascii").strip() == "110100111000101"
+
+    @pytest.mark.parametrize(
+        "label, blocks, coded_sha256",
+        [
+            ("5_21_3", 867, "429bfc7d21f9df790c5a2f40c742096afed22a04acc7d1750504df4a8b7c5752"),
+            ("8_241_4", 434, "1df246c0facc815f87b4745db29b0686fd0f06aeae6a4b444e780c60e4fd8a01"),
+        ],
+    )
+    def test_plan_outputs_are_pinned(self, capsys, tmp_path, request, label, blocks, coded_sha256):
+        """3000 random bits encode to pinned words and decode back through one
+        channel error per block."""
+        plan = request.getfixturevalue(f"plan_{label}")
+        save_code(plan.outer, tmp_path / "outer.code")
+        for weight, code in plan.inner.items():
+            save_code(code, tmp_path / f"w{weight}.code")
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "q": 3, "dbmin": plan.dbmin, "outer": "outer.code",
+            "inner": {str(weight): f"w{weight}.code" for weight in plan.inner},
+        }), encoding="ascii")
+        rng = random.Random(2024)
+        bits = "".join(rng.choice("01") for _ in range(3000))
+        (tmp_path / "in.bits").write_text(bits, encoding="ascii")
+        coded, noisy, out = tmp_path / "coded.words", tmp_path / "noisy.words", tmp_path / "out.bits"
+        argv = ["--plan", str(plan_path), "--in", str(tmp_path / "in.bits"), "--out", str(coded)]
+        assert main(["encode", *argv]) == 0
+        assert capsys.readouterr().out == f'{{"bits_in": 3000, "blocks": {blocks}}}\n'
+        assert hashlib.sha256(coded.read_bytes()).hexdigest() == coded_sha256
+        received = []
+        for line in coded.read_text(encoding="ascii").split():
+            symbols = list(line)
+            i = rng.randrange(len(symbols))
+            symbols[i] = rng.choice("12") if symbols[i] == "0" else "0"
+            received.append("".join(symbols) + "\n")
+        noisy.write_text("".join(received), encoding="ascii")
+        assert main(["decode", "--plan", str(plan_path), "--in", str(noisy), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f'{{"bits_out": 3000, "blocks": {blocks}}}\n'
+        assert out.read_bytes() == bits.encode("ascii") + b"\n"
 
     def test_words_file_has_no_header(self, tmp_path, plan_files, capsys):
         bits_in = tmp_path / "m.bits"

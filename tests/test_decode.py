@@ -6,8 +6,10 @@ import pytest
 
 from ternary_ecc.channel import ChannelSpec
 from ternary_ecc.core import Code, Word, all_words
-from ternary_ecc.decode import decode_da, decode_ml, simulate
+from ternary_ecc.decode import DecodeResult, decode_da, decode_ml, simulate
 from ternary_ecc.metric import INF, correction_capability, dist_a, min_dist_b, pmax
+
+from oracles import decode_da_reference, decode_ml_reference
 
 
 def w3(text: str) -> Word:
@@ -113,6 +115,29 @@ class TestDecodeMl:
                     assert da.chosen == ml.chosen
 
 
+@pytest.mark.parametrize("name", ["code_5_27_3", "code_5_21_3", "code_8_241_4"])
+def test_decoders_match_reference(request, name):
+    """Every received word of length 5, and a sample of length 8, decodes as
+    in the linear scan: same winner, minimizer set and distance bits."""
+    code = request.getfixturevalue(name)
+    received = list(all_words(3, code.n))
+    if code.n > 5:
+        received = random.Random(5).sample(received, 400)
+    for y in received:
+        assert decode_da(code, y) == decode_da_reference(code, y)
+        for p in (0.0, 0.02, 0.3, 0.6):
+            result, reference = decode_ml(code, y, p), decode_ml_reference(code, y, p)
+            assert result == reference
+            assert repr(result.distance) == repr(reference.distance)
+
+
+def test_ml_at_smallest_positive_p():
+    code = Code.from_strings(3, ["00", "10", "12"])
+    result = decode_ml(code, w3("10"), 5e-324)
+    assert result == DecodeResult(w3("10"), frozenset({w3("10")}), 0.0)
+    assert decode_ml(code, w3("02"), 5e-324).undecodable
+
+
 class TestSimulate:
     def test_noiseless_channel_never_errs(self, code_5_27_3):
         report = simulate(code_5_27_3, ChannelSpec(3, 0.0), "da", 500, seed=1)
@@ -145,3 +170,23 @@ class TestSimulate:
     def test_rejects_unknown_decoder(self, code_5_27_3):
         with pytest.raises(ValueError):
             simulate(code_5_27_3, ChannelSpec(3, 0.1), "nearest", 10, seed=0)
+
+    # Counts at the commit that made the decoders bit-sliced: a change to a
+    # channel draw or to a decoder's tie-break moves at least one of them.
+    @pytest.mark.parametrize(
+        "size, p, decoder, counts",
+        [
+            (27, 0.0, "da", (0, 0)), (27, 0.0, "ml", (0, 0)),
+            (27, 0.02, "da", (0, 0)), (27, 0.02, "ml", (0, 0)),
+            (27, 0.3, "da", (61, 0)), (27, 0.3, "ml", (61, 0)),
+            (27, 0.6, "da", (180, 0)), (27, 0.6, "ml", (185, 0)),
+            (241, 0.0, "da", (0, 0)), (241, 0.0, "ml", (0, 0)),
+            (241, 0.02, "da", (0, 0)), (241, 0.02, "ml", (1, 0)),
+            (241, 0.3, "da", (121, 0)), (241, 0.3, "ml", (118, 0)),
+            (241, 0.6, "da", (236, 0)), (241, 0.6, "ml", (227, 0)),
+        ],
+    )
+    def test_counts_are_pinned(self, code_5_27_3, code_8_241_4, size, p, decoder, counts):
+        code = code_5_27_3 if size == 27 else code_8_241_4
+        report = simulate(code, ChannelSpec(3, p), decoder, 300, seed=2024)
+        assert (report.word_errors, report.undecodable) == counts

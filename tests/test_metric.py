@@ -79,6 +79,13 @@ class TestDistMl:
         assert dist_ml(w3("012"), w3("012"), 0.0) == 0.0
         assert dist_ml(w3("012"), w3("011"), 0.0) == INF
 
+    def test_smallest_positive_p_is_noiseless(self):
+        # 5e-324 / 2 underflows to 0, where log(p/2) has no value
+        assert dist_ml(w3("00"), w3("10"), 5e-324) == INF
+        assert dist_ml(w3("012"), w3("012"), 5e-324) == 0.0
+        assert dist_ml(w3("01"), w3("02"), 5e-324) == INF
+        assert dist_ml(w3("00"), w3("10"), 1e-323) < INF
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dist_ml(w3("0"), w3("0"), 2 / 3)

@@ -1,0 +1,115 @@
+"""Property tests: the bit-sliced codebook scan against the linear-scan oracles,
+and the code file round trip, over random small codes."""
+
+from __future__ import annotations
+
+import io
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from ternary_ecc.core import Code, ErasureDecodeError, Word, load_code, save_code
+from ternary_ecc.decode import decode_da, decode_ml
+
+from oracles import (
+    decode_da_reference,
+    decode_ml_reference,
+    erasure_decode_reference,
+    nearest_reference,
+)
+
+SETTINGS = hypothesis.settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+# p = 5e-324 is the smallest positive float: p / 2 underflows to 0. At
+# p = 1e-300, 1 - p rounds to 1, so words with equal zero-involved
+# disagreement counts tie however their matching zeros differ.
+ML_P = (0.0, 5e-324, 1e-300, 1e-12, 0.3, math.nextafter(2.0 / 3.0, 0.0))
+
+
+@st.composite
+def code_and_word(draw, alphabets=(2, 3, 4)):
+    """A code of up to 64 words and a received word of its q and n.
+
+    The received word is either uniform or a codeword whose non-zero symbols
+    were changed to other non-zero ones, which no channel error reaches from
+    that codeword.
+    """
+    q = draw(st.sampled_from(alphabets))
+    n = draw(st.integers(1, 8))
+    symbol = st.integers(0, q - 1)
+    words = draw(st.sets(st.tuples(*[symbol] * n), min_size=1, max_size=64))
+    code = Code(q, n, frozenset(Word(q, w) for w in words))
+    base = draw(st.sampled_from(sorted(words)))
+    shifts = draw(st.tuples(*[st.integers(1, max(1, q - 2))] * n))
+    unreachable = tuple(
+        (s - 1 + shift) % (q - 1) + 1 if s else 0 for s, shift in zip(base, shifts)
+    )
+    received = draw(st.one_of(st.tuples(*[symbol] * n), st.just(unreachable)))
+    return code, Word(q, received)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ErasureDecodeError as exc:
+        return ("ErasureDecodeError", str(exc))
+
+
+@SETTINGS
+@hypothesis.given(code_and_word())
+def test_decode_da_matches_reference(case):
+    code, received = case
+    assert decode_da(code, received) == decode_da_reference(code, received)
+
+
+@SETTINGS
+@hypothesis.given(code_and_word(alphabets=(3,)), st.sampled_from(ML_P))
+def test_decode_ml_matches_reference(case, p):
+    code, received = case
+    result = decode_ml(code, received, p)
+    reference = decode_ml_reference(code, received, p)
+    assert result == reference
+    # equal floats may still differ in sign; the scan keeps the oracle's bits
+    assert math.copysign(1.0, result.distance) == math.copysign(1.0, reference.distance)
+
+
+@SETTINGS
+@hypothesis.given(code_and_word())
+def test_nearest_matches_reference(case):
+    code, received = case
+    assert code.nearest(received) == nearest_reference(code, received)
+
+
+@SETTINGS
+@hypothesis.given(code_and_word(), st.data())
+def test_erasure_decode_matches_reference(case, data):
+    code, received = case
+    erased = data.draw(st.tuples(*[st.booleans()] * code.n))
+    pattern = tuple(None if e else s for e, s in zip(erased, received.symbols))
+    assert _outcome(code.erasure_decode, pattern) == _outcome(
+        erasure_decode_reference, code, pattern
+    )
+
+
+def test_erasure_decode_error_cases():
+    code = Code.from_strings(3, ["012", "010", "220"])
+    for pattern in ((None, 1, None), (1, None, None), (None, None, None)):
+        assert _outcome(code.erasure_decode, pattern) == _outcome(
+            erasure_decode_reference, code, pattern
+        )
+    assert code.erasure_decode((None, None, 2)) == Word(3, (0, 1, 2))
+
+
+@SETTINGS
+@hypothesis.given(code_and_word())
+def test_code_file_round_trip(case):
+    code, _ = case
+    buffer = io.StringIO()
+    save_code(code, buffer)
+    buffer.seek(0)
+    assert load_code(buffer) == code

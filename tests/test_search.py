@@ -301,6 +301,14 @@ class TestExact:
         with pytest.raises(BudgetExceededError):
             exact_clique(graph)
 
+    def test_milp_time_budget(self, monkeypatch):
+        # the unrestricted (5, 3) graph takes HiGHS about a minute to optimise
+        graph = build_unrestricted_graph(5, 3)
+        balls = _dist_b_masks(graph.vertices, 0, 1)
+        monkeypatch.setattr(search, "_MILP_TIME_LIMIT", 1e-3)
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            search._exact_milp(graph, balls)
+
     def test_symmetry_pruning_matches_plain_search(self):
         # the word-symmetric fast path must agree with the generic engine, on
         # ternary words and, with unit weights, on binary outer words
