@@ -155,7 +155,7 @@ class ConstructionPlan:
 
     def validate(self) -> None:
         if self.outer.size >= 2:
-            dist = min_hamming_distance(self.outer.words)
+            dist = min_hamming_distance(self.outer)
             if dist < self.dbmin:
                 raise PlanError(f"outer minimum distance {dist} below {self.dbmin}")
         needed = self.weight_enumerator().nonzero_weights()
@@ -169,7 +169,7 @@ class ConstructionPlan:
                     f"expected {self.q - 1}"
                 )
             if len(inner.words) >= 2:
-                dist = min_hamming_distance(inner.words)
+                dist = min_hamming_distance(inner)
                 if dist < self.inner_min_distance:
                     raise PlanError(
                         f"inner code for weight {d} has minimum distance {dist}, "

@@ -91,20 +91,9 @@ def all_words(q: int, n: int) -> Iterator[Word]:
         yield Word(q, symbols)
 
 
-def min_hamming_distance(words: Iterable[Word]) -> int:
-    """Minimum pairwise Hamming distance; requires at least two words."""
-    ws = sorted(words)
-    if len(ws) < 2:
-        raise ValueError("minimum distance needs at least two words")
-    best = len(ws[0])
-    for i, u in enumerate(ws):
-        for v in ws[i + 1 :]:
-            d = hamming_distance(u, v)
-            if d < best:
-                best = d
-                if best == 1:
-                    return 1
-    return best
+def min_hamming_distance(code: Code) -> int:
+    """Minimum pairwise Hamming distance; requires at least two codewords."""
+    return code._min_count("hamming")
 
 
 @dataclass(frozen=True)
@@ -118,9 +107,6 @@ class Code:
     n: int
     words: frozenset[Word]
     generator: tuple[Word, ...] | None = None
-    _dbmin_cache: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # Sorted words, and per (position, symbol) the mask of their indices.
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -210,10 +196,12 @@ class Code:
         """Costs of all codewords against a received word, one pass per position.
 
         "a" forbids non-zero/non-zero disagreements and counts zero-involved
-        ones; "ml" also counts matching zeros, as a second class; "hamming"
-        counts all disagreements; "consistent" forbids them. None positions
-        are free. Returns the mask of finite-cost codewords and, per counted
-        class, bit planes: plane k holds bit k of every codeword's count.
+        ones; "ml" also counts matching zeros, as a second class; "b" counts
+        zero-involved disagreements once and non-zero/non-zero ones twice;
+        "hamming" counts all disagreements; "consistent" forbids them. None
+        positions are free. Returns the mask of finite-cost codewords and,
+        per counted class, bit planes: plane k holds bit k of every
+        codeword's count.
         """
         words, columns = self._codebook()
         full = (1 << len(words)) - 1
@@ -226,15 +214,20 @@ class Code:
             if cost == "consistent":
                 forbidden |= disagree
                 continue
+            zero_involved = column[0] if b else disagree
+            clash = disagree ^ zero_involved
+            # (class, mask) pairs, each adding one to the counts under the mask
             if cost == "hamming":
-                counted = (disagree,)
+                counted = ((0, disagree),)
+            elif cost == "b":
+                counted = ((0, disagree), (0, clash))
             else:
-                zero_involved = column[0] if b else disagree
-                forbidden |= disagree ^ zero_involved
-                counted = (zero_involved,)
+                forbidden |= clash
+                counted = ((0, zero_involved),)
                 if cost == "ml":
-                    counted += (0 if b else column[0],)
-            for class_planes, carry in zip(planes, counted):
+                    counted += ((1, 0 if b else column[0]),)
+            for c, carry in counted:
+                class_planes = planes[c]
                 for k, plane in enumerate(class_planes):
                     if not carry:
                         break
@@ -242,6 +235,22 @@ class Code:
                 if carry:
                     class_planes.append(carry)
         return full & ~forbidden, planes
+
+    def _min_count(self, cost: str) -> int:
+        """Least "b" or "hamming" cost between two distinct codewords: each
+        codeword is scanned against the code and the others' least count kept."""
+        words = self._codebook()[0]
+        if len(words) < 2:
+            raise ValueError("minimum distance needs at least two codewords")
+        full = (1 << len(words)) - 1
+        best = 2 * self.n
+        for j, w in enumerate(words):
+            _, (planes, _) = self._scan(w.symbols, cost)
+            best = min(best, _least_count(full ^ (1 << j), planes)[1])
+            # distinct words cost at least 1 apart
+            if best == 1:
+                break
+        return best
 
     def nearest(self, received: Word) -> Word:
         """Closest codeword in Hamming distance; ties go to the smallest word."""
@@ -282,6 +291,21 @@ def _least_count(candidates: int, planes: Sequence[int]) -> tuple[int, int]:
         else:
             count |= 1 << k
     return candidates, count
+
+
+def _at_least(candidates: int, planes: Sequence[int], t: int) -> int:
+    """The candidates whose bit-plane count is at least t >= 0; compared from
+    the top bit of t or of the planes down, keeping the candidates already
+    above t and those equal to t so far."""
+    above, equal = 0, candidates
+    for k in range(max(len(planes), t.bit_length()) - 1, -1, -1):
+        plane = planes[k] if k < len(planes) else 0
+        if t >> k & 1:
+            equal &= plane
+        else:
+            above |= equal & plane
+            equal &= ~plane
+    return above | equal
 
 
 # perfbench's stream workload traces Code.nearest and Code.erasure_decode

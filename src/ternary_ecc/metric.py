@@ -90,48 +90,19 @@ def _ml_cost(s0: int, s1: int, s2: int, p: float) -> float:
 def dist_a(u: Word, v: Word) -> float:
     """Channel-error distance: one per zero-involved disagreement, inf when a
     disagreement joins two distinct non-zero symbols."""
-    _check_compatible(u, v)
-    total = 0
-    for a, b in zip(u.symbols, v.symbols):
-        if a == b:
-            continue
-        if a == 0 or b == 0:
-            total += 1
-        else:
-            return INF
-    return total
+    prof = agreement_profile(u, v)
+    return INF if prof.s3 else prof.s2
 
 
 def dist_b(u: Word, v: Word) -> int:
     """Metric closure of dist_a: disagreements between non-zero symbols cost 2."""
-    _check_compatible(u, v)
-    total = 0
-    for a, b in zip(u.symbols, v.symbols):
-        if a == b:
-            continue
-        total += 1 if (a == 0 or b == 0) else 2
-    return total
+    prof = agreement_profile(u, v)
+    return prof.s2 + 2 * prof.s3
 
 
 def min_dist_b(code: Code) -> int:
-    """Minimum pairwise dist_b of a code; cached on the code object."""
-    if code._dbmin_cache is not None:
-        return code._dbmin_cache
-    words = code.sorted_words()
-    if len(words) < 2:
-        raise ValueError("minimum distance needs at least two codewords")
-    best = 2 * code.n
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            d = dist_b(u, v)
-            if d < best:
-                best = d
-                if best == 1:
-                    break
-        if best == 1:
-            break
-    object.__setattr__(code, "_dbmin_cache", best)
-    return best
+    """Minimum pairwise dist_b of a code; requires at least two codewords."""
+    return code._min_count("b")
 
 
 def correction_capability(dbmin: int) -> int:

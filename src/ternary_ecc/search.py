@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .construct import ConstructionPlan, build_code
-from .core import Code, Word
+from .core import Code, Word, _at_least
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
@@ -32,9 +32,10 @@ class BudgetExceededError(RuntimeError):
 class SearchGraph:
     """Compatibility graph; adjacency rows are bitmasks over vertex indexes.
 
-    word_symmetry marks graphs whose vertex set is a full weight window, so
-    that coordinate permutations and per-coordinate swaps of the non-zero
-    symbols act on the graph; the exact solver exploits this when set.
+    word_symmetry marks graphs whose vertex set is a full weight window, in
+    sorted order, so that coordinate permutations and per-coordinate swaps of
+    the non-zero symbols act on the graph; the exact solver exploits this when
+    set.
     """
 
     vertices: tuple[Word, ...]
@@ -72,25 +73,33 @@ def _dist_b_masks(
 ) -> tuple[int, ...]:
     """Bitmask rows of the relation lo <= dist_b(u, v) <= hi over all word pairs.
 
-    Each row of distances is computed once and cut at both ends; hi=None
-    leaves it open above. Words are distinct, so lo >= 1 keeps every word out
-    of its own row (adjacency) and lo = 0 keeps it in (metric balls). numpy
-    is imported here, not at module level, so that only graph building pays
-    for it.
+    The words must be distinct and sorted, as in the index of their Code, so
+    that row j and bit j are words[j]. Each row is one scan of a word against
+    that index, cut at both ends by the bit-plane threshold; hi=None leaves
+    it open above. lo >= 1 keeps every word out of its own row (adjacency)
+    and lo = 0 keeps it in (metric balls).
     """
-    import numpy as np
-
-    symbols = np.array([w.symbols for w in words], dtype=np.int8)
-    nonzero = symbols != 0
-    masks = []
-    for i in range(len(words)):
-        differ = symbols != symbols[i]
-        db = differ.sum(axis=1) + (differ & nonzero & nonzero[i]).sum(axis=1)
-        row = db >= lo
+    code = Code.from_words(words)
+    if code.sorted_words() != list(words):
+        raise ValueError("words must be distinct and in sorted order")
+    rows = []
+    for word in words:
+        everyone, (planes, _) = code._scan(word.symbols, "b")
+        row = _at_least(everyone, planes, lo)
         if hi is not None:
-            row &= db <= hi
-        masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    return tuple(masks)
+            row &= ~_at_least(everyone, planes, hi + 1)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _window_words(q: int, n: int, wmin: int, wmax: int) -> list[Word]:
+    """Every q-ary word of length n with Hamming weight in [wmin, wmax], in
+    sorted order."""
+    return [
+        Word(q, symbols)
+        for symbols in product(range(q), repeat=n)
+        if wmin <= n - symbols.count(0) <= wmax
+    ]
 
 
 def _check_window(n: int, wmin: int, wmax: int | None) -> int:
@@ -113,11 +122,7 @@ def build_unrestricted_graph(
     count = sum(math.comb(n, w) * (1 << w) for w in range(wmin, wmax + 1))
     if count > max_vertices:
         raise BudgetExceededError(f"{count} vertices exceed the cap {max_vertices}")
-    words = [
-        Word(3, symbols)
-        for symbols in product(range(3), repeat=n)
-        if wmin <= sum(1 for s in symbols if s) <= wmax
-    ]
+    words = _window_words(3, n, wmin, wmax)
     masks = _dist_b_masks(words, max(dbmin, 1))
     return SearchGraph(
         tuple(words), (1,) * len(words), masks, dbmin, wmin, wmax, word_symmetry=True
@@ -141,11 +146,7 @@ def build_restricted_graph(
     count = sum(math.comb(n, w) for w in range(wmin, wmax + 1))
     if count > max_vertices:
         raise BudgetExceededError(f"{count} vertices exceed the cap {max_vertices}")
-    words = [
-        Word(2, symbols)
-        for symbols in product(range(2), repeat=n)
-        if wmin <= sum(symbols) <= wmax
-    ]
+    words = _window_words(2, n, wmin, wmax)
     weights = tuple(weight_oracle(sum(w.symbols)) for w in words)
     if any(weight < 1 for weight in weights):
         raise ValueError("vertex weights must be >= 1")
@@ -342,7 +343,6 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
     Raises BudgetExceededError past _MILP_TIME_LIMIT seconds. scipy is
     imported here because no other path needs it.
     """
-    import numpy as np
     from scipy import optimize, sparse
 
     v_count = len(graph.vertices)
@@ -370,9 +370,9 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
         (data, indices, indptr), shape=(len(rows), v_count)
     )
     result = optimize.milp(
-        c=-np.array(graph.weights, dtype=float),
-        constraints=optimize.LinearConstraint(matrix, -np.inf, 1.0),
-        integrality=np.ones(v_count),
+        c=[-float(w) for w in graph.weights],
+        constraints=optimize.LinearConstraint(matrix, -math.inf, 1.0),
+        integrality=[1] * v_count,
         bounds=optimize.Bounds(0.0, 1.0),
         options={"time_limit": _MILP_TIME_LIMIT},
     )
@@ -685,7 +685,7 @@ def optimal_binary_code_size(length: int, min_dist: int) -> int:
 
 
 def _binary_hamming_graph(n: int, min_dist: int) -> SearchGraph:
-    words = [Word(2, symbols) for symbols in product(range(2), repeat=n)]
+    words = _window_words(2, n, 0, n)
     masks = _dist_b_masks(words, min_dist)
     return SearchGraph(tuple(words), (1,) * len(words), masks, min_dist, 0, n)
 

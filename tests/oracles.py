@@ -102,6 +102,42 @@ def pairwise_dist_b_masks(words, lo: int, hi: int | None = None) -> tuple[int, .
     return tuple(masks)
 
 
+def min_dist_b_reference(code: Code) -> int:
+    """metric.min_dist_b as it was before the codebook scan: one dist_b call
+    per pair of sorted codewords."""
+    words = sorted(code.words)
+    if len(words) < 2:
+        raise ValueError("minimum distance needs at least two codewords")
+    best = 2 * code.n
+    for i, u in enumerate(words):
+        for v in words[i + 1 :]:
+            d = dist_b(u, v)
+            if d < best:
+                best = d
+                if best == 1:
+                    break
+        if best == 1:
+            break
+    return best
+
+
+def min_hamming_distance_reference(words) -> int:
+    """core.min_hamming_distance as it was before the codebook scan: one
+    hamming_distance call per pair of sorted words."""
+    ws = sorted(words)
+    if len(ws) < 2:
+        raise ValueError("minimum distance needs at least two words")
+    best = len(ws[0])
+    for i, u in enumerate(ws):
+        for v in ws[i + 1 :]:
+            d = hamming_distance(u, v)
+            if d < best:
+                best = d
+                if best == 1:
+                    return 1
+    return best
+
+
 def brute_sphere_volume(n: int, center: tuple[int, ...], r: int) -> int:
     """Count ternary words within dist_b r of the center by full enumeration."""
     return sum(

@@ -462,8 +462,12 @@ class TestImportFootprint:
         for argv in commands:
             assert _heavy_modules(tmp_path, argv) == (0, []), argv
 
-    def test_exact_search_without_escalation_leaves_scipy_out(self, tmp_path):
-        argv = ["search", "--n", "4", "--d", "3", "--mode", "unrestricted"]
-        status, heavy = _heavy_modules(tmp_path, argv)
-        assert status == 0
-        assert "scipy" not in heavy
+    def test_searches_without_escalation_load_neither(self, tmp_path):
+        commands = [
+            ["search", "--n", "4", "--d", "3", "--mode", "unrestricted"],
+            ["search", "--n", "7", "--d", "5", "--mode", "restricted"],
+            ["search", "--n", "5", "--d", "3", "--mode", "unrestricted",
+             "--algo", "greedy", "--seed", "1"],
+        ]
+        for argv in commands:
+            assert _heavy_modules(tmp_path, argv) == (0, []), argv

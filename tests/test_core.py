@@ -135,10 +135,10 @@ class TestBinaryCode:
         assert three.info_len is None
 
     def test_min_distance(self):
-        assert min_hamming_distance(repetition(5).words) == 5
-        assert min_hamming_distance(single_parity_check(6).words) == 2
-        assert min_hamming_distance(extended_hamming_8_4_4().words) == 4
-        assert min_hamming_distance(nonlinear_5_4_3().words) == 3
+        assert min_hamming_distance(repetition(5)) == 5
+        assert min_hamming_distance(single_parity_check(6)) == 2
+        assert min_hamming_distance(extended_hamming_8_4_4()) == 4
+        assert min_hamming_distance(nonlinear_5_4_3()) == 3
 
     def test_nearest_with_tie_break(self):
         code = Code.from_strings(2, ["00", "11"])
@@ -231,7 +231,7 @@ class TestHelpers:
 
     def test_min_hamming_distance_requires_two(self):
         with pytest.raises(ValueError):
-            min_hamming_distance([w("00", 2)])
+            min_hamming_distance(Code.from_words([w("00", 2)]))
 
     def test_library_optimal_code_shape(self):
         code = ternary_5_27_3()

@@ -170,7 +170,6 @@ class TestMinDistB:
     def test_cache_consistency(self):
         code = ternary_5_27_3()
         first = min_dist_b(code)
-        assert code._dbmin_cache == first
         assert min_dist_b(code) == first
 
 

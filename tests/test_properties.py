@@ -1,5 +1,5 @@
-"""Property tests: the bit-sliced codebook scan against the linear-scan oracles,
-and the code file round trip, over random small codes."""
+"""Property tests: the bit-sliced codebook scan against the linear-scan and
+pairwise oracles, and the code file round trip, over random small codes."""
 
 from __future__ import annotations
 
@@ -11,13 +11,23 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from ternary_ecc.core import Code, ErasureDecodeError, Word, load_code, save_code
+from ternary_ecc.core import (
+    Code,
+    ErasureDecodeError,
+    Word,
+    load_code,
+    min_hamming_distance,
+    save_code,
+)
 from ternary_ecc.decode import decode_da, decode_ml
+from ternary_ecc.metric import min_dist_b
 
 from oracles import (
     decode_da_reference,
     decode_ml_reference,
     erasure_decode_reference,
+    min_dist_b_reference,
+    min_hamming_distance_reference,
     nearest_reference,
 )
 
@@ -32,8 +42,8 @@ ML_P = (0.0, 5e-324, 1e-300, 1e-12, 0.3, math.nextafter(2.0 / 3.0, 0.0))
 
 
 @st.composite
-def code_and_word(draw, alphabets=(2, 3, 4)):
-    """A code of up to 64 words and a received word of its q and n.
+def code_and_word(draw, alphabets=(2, 3, 4), min_words=1):
+    """A code of min_words to 64 words and a received word of its q and n.
 
     The received word is either uniform or a codeword whose non-zero symbols
     were changed to other non-zero ones, which no channel error reaches from
@@ -42,7 +52,7 @@ def code_and_word(draw, alphabets=(2, 3, 4)):
     q = draw(st.sampled_from(alphabets))
     n = draw(st.integers(1, 8))
     symbol = st.integers(0, q - 1)
-    words = draw(st.sets(st.tuples(*[symbol] * n), min_size=1, max_size=64))
+    words = draw(st.sets(st.tuples(*[symbol] * n), min_size=min_words, max_size=64))
     code = Code(q, n, frozenset(Word(q, w) for w in words))
     base = draw(st.sampled_from(sorted(words)))
     shifts = draw(st.tuples(*[st.integers(1, max(1, q - 2))] * n))
@@ -83,6 +93,14 @@ def test_decode_ml_matches_reference(case, p):
 def test_nearest_matches_reference(case):
     code, received = case
     assert code.nearest(received) == nearest_reference(code, received)
+
+
+@SETTINGS
+@hypothesis.given(code_and_word(min_words=2))
+def test_min_distances_match_reference(case):
+    code, _ = case
+    assert min_dist_b(code) == min_dist_b_reference(code)
+    assert min_hamming_distance(code) == min_hamming_distance_reference(code.words)
 
 
 @SETTINGS

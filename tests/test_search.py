@@ -83,14 +83,19 @@ class TestGraphBuilders:
             ("restricted", 6, 3, 0, None),
             ("restricted", 6, 4, 1, 5),
             ("restricted", 7, 5, 3, 7),
+            ("unrestricted", 0, 1, 0, None),
+            ("restricted", 0, 1, 0, None),
+            *(("binary", n, d, 0, None) for n, d in enumerate((1, 1, 2, 3, 3, 3, 4, 3))),
         ],
     )
     def test_masks_match_pairwise_dist_b(self, mode, n, dbmin, wmin, wmax):
         # adjacency is dist_b >= dbmin off the diagonal; a ball is dist_b <= radius
         if mode == "unrestricted":
             graph = build_unrestricted_graph(n, dbmin, wmin, wmax)
-        else:
+        elif mode == "restricted":
             graph = build_restricted_graph(n, dbmin, wmin, wmax, lambda length: 1)
+        else:
+            graph = _binary_hamming_graph(n, dbmin)
         words = graph.vertices
         expected_adj = tuple(
             mask & ~(1 << i)
@@ -100,6 +105,9 @@ class TestGraphBuilders:
         radius = (dbmin - 1) // 2
         assert _dist_b_masks(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
         assert _dist_b_masks(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
+        # no pair is further apart than 2n, so this band leaves every row empty
+        beyond = _dist_b_masks(words, 2 * n + 1)
+        assert beyond == pairwise_dist_b_masks(words, 2 * n + 1) == (0,) * len(words)
 
     def test_restricted_weights(self):
         graph = build_restricted_graph(5, 3)
@@ -128,7 +136,7 @@ class TestOptimalBinaryCodes:
     def test_materialized_codes_meet_distance(self):
         for length, dist in ((6, 3), (7, 4), (5, 3)):
             code = optimal_binary_code(length, dist)
-            assert min_hamming_distance(code.words) >= dist
+            assert min_hamming_distance(code) >= dist
 
     def test_pinned_members(self):
         # these searches take the plain unit-weight path and decide the inner
