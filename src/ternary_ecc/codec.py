@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Code, ErasureDecodeError, Word, hamming_weight
+from .core import Code, ErasureDecodeError, Word, _gf2_span, hamming_weight
 from .construct import (
     ConstructionPlan,
     gather_from_support,
@@ -129,22 +129,10 @@ class _MessageMap:
         if code.generator is not None and len(code.generator) != k:
             raise CodecError("generator rows are dependent; message map is ambiguous")
         if code.generator is not None:
-            self._encode_table = [
-                self._combine(code.generator, index) for index in range(1 << k)
-            ]
+            self._encode_table = list(_gf2_span(code.generator, code.n))
         else:
             self._encode_table = code.sorted_words()
         self._decode_table = {w: i for i, w in enumerate(self._encode_table)}
-
-    @staticmethod
-    def _combine(rows: Sequence[Word], index: int) -> Word:
-        n = len(rows[0])
-        acc = [0] * n
-        k = len(rows)
-        for j, row in enumerate(rows):
-            if (index >> (k - 1 - j)) & 1:
-                acc = [a ^ b for a, b in zip(acc, row.symbols)]
-        return Word(2, tuple(acc))
 
     def encode(self, bits: Bits) -> Word:
         if len(bits) != self.k:

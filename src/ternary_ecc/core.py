@@ -127,11 +127,8 @@ class Code:
             for row in rows:
                 if row.q != 2 or len(row) != self.n:
                     raise ValueError("generator rows must be binary words of length n")
-            span = _gf2_span(rows, self.n)
-            if span != self.words:
+            if frozenset(_gf2_span(rows, self.n)) != self.words:
                 raise ValueError("generator rows do not span the given codeword set")
-            if len(self.words) != 1 << _gf2_rank(rows):
-                raise ValueError("codeword count inconsistent with generator rank")
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Code":
@@ -313,33 +310,13 @@ def _at_least(candidates: int, planes: Sequence[int], t: int) -> int:
 BinaryBlockCode = Code
 
 
-def _row_to_int(row: Word) -> int:
-    value = 0
-    for i, s in enumerate(row.symbols):
-        if s:
-            value |= 1 << i
-    return value
-
-
-def _gf2_rank(rows: Sequence[Word]) -> int:
-    basis: list[int] = []
-    for row in rows:
-        v = _row_to_int(row)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
-def _gf2_span(rows: Sequence[Word], n: int) -> frozenset[Word]:
-    span = {Word(2, (0,) * n)}
-    for row in rows:
-        span |= {
-            Word(2, tuple(a ^ b for a, b in zip(w.symbols, row.symbols))) for w in span
-        }
-    return frozenset(span)
+def _gf2_span(rows: Sequence[Word], n: int) -> tuple[Word, ...]:
+    """Every XOR of the rows, in message order: entry i combines the rows
+    selected by the bits of i, the first row as the most significant bit."""
+    span = [(0,) * n]
+    for row in reversed(rows):
+        span += [tuple(a ^ b for a, b in zip(s, row.symbols)) for s in span]
+    return tuple(Word(2, s) for s in span)
 
 
 @dataclass(frozen=True)

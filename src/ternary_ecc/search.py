@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .construct import ConstructionPlan, build_code
-from .core import Code, Word, _at_least
+from .core import Code, Word, _at_least, hamming_weight
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
@@ -33,24 +33,20 @@ class SearchGraph:
     """Compatibility graph; adjacency rows are bitmasks over vertex indexes.
 
     word_symmetry marks graphs whose vertex set is a full weight window, in
-    sorted order, so that coordinate permutations and per-coordinate swaps of
-    the non-zero symbols act on the graph; the exact solver exploits this when
-    set.
+    sorted order, with adjacency a dist_b threshold and each vertex weight a
+    function of its Hamming weight. Coordinate permutations and
+    per-coordinate swaps of the non-zero symbols then act on the graph, and
+    the exact solver eliminates whole orbits and colors with metric balls.
     """
 
     vertices: tuple[Word, ...]
     weights: tuple[int, ...]
     adj: tuple[int, ...]
     dbmin: int
-    wmin: int
-    wmax: int
     word_symmetry: bool = False
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
 
 @dataclass(frozen=True)
@@ -124,9 +120,7 @@ def build_unrestricted_graph(
         raise BudgetExceededError(f"{count} vertices exceed the cap {max_vertices}")
     words = _window_words(3, n, wmin, wmax)
     masks = _dist_b_masks(words, max(dbmin, 1))
-    return SearchGraph(
-        tuple(words), (1,) * len(words), masks, dbmin, wmin, wmax, word_symmetry=True
-    )
+    return SearchGraph(tuple(words), (1,) * len(words), masks, dbmin, word_symmetry=True)
 
 
 def build_restricted_graph(
@@ -151,9 +145,7 @@ def build_restricted_graph(
     if any(weight < 1 for weight in weights):
         raise ValueError("vertex weights must be >= 1")
     masks = _dist_b_masks(words, max(dbmin, 1))
-    return SearchGraph(
-        tuple(words), weights, masks, dbmin, wmin, wmax, word_symmetry=True
-    )
+    return SearchGraph(tuple(words), weights, masks, dbmin, word_symmetry=True)
 
 
 def _iter_bits(mask: int):
@@ -274,16 +266,9 @@ _ORBIT_DEPTH = 5
 # Candidate-set size from which sphere-cover coloring is worth its scan cost.
 _BALL_MIN = 48
 
-# Branch-and-bound node limit before a dense instance escalates to the
-# integer-programming formulation.
+# Branch-and-bound node limit of every exact search; past it the search
+# escalates to the integer-programming formulation.
 _NODE_CAP = 300_000
-
-# Node limit of the reverse tail loop, which has no integer-programming
-# fallback: past it exact_clique refuses. Over ten times the largest known
-# count of a search that finishes: about 1.8M nodes, for the plain search of
-# unrestricted n=5, d=3 over Hamming weights 0..3 (restricted n=7, d=3 takes
-# about 160k).
-_TAIL_NODE_CAP = 20_000_000
 
 # Wall-clock limit in seconds handed to the HiGHS integer program; past it
 # exact_clique refuses. The slowest known solve, optimising the unrestricted
@@ -293,10 +278,6 @@ _MILP_TIME_LIMIT = 600.0
 
 class _NodeCapReached(Exception):
     """The combinatorial search exceeded its node budget."""
-
-
-class _CapReached(Exception):
-    """The running subsearch hit its provable ceiling; unwind immediately."""
 
 
 def _orbit_masks(
@@ -338,8 +319,8 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
 
     A radius-t_A ball is pairwise below dbmin, so a clique meets it at most
     once; pair constraints cover the non-adjacent pairs no ball contains
-    (needed when dbmin is even). Intended for dense word graphs where the
-    combinatorial bound stalls; the solved vector is re-verified as a clique.
+    (all of them when balls is empty). Settles searches that exhaust the
+    branch-and-bound node budget; the solved vector is re-verified as a clique.
     Raises BudgetExceededError past _MILP_TIME_LIMIT seconds. scipy is
     imported here because no other path needs it.
     """
@@ -401,38 +382,31 @@ def _branch_and_bound(
     start_mask: int,
     symbols: Sequence[tuple[int, ...]] | None = None,
     balls: Sequence[int] | None = None,
-    node_cap: int | None = None,
 ) -> tuple[int, int]:
     """Maximum-weight clique by bitset branch and bound; returns (weight, mask).
 
-    Every node colors its candidate set greedily (optionally radius-t_A balls
-    first); a clique takes at most one vertex per color class, so the running
-    sum of per-class maximum weights bounds each prefix of the coloring, and
-    only vertices whose prefix bound exceeds the incumbent gap are branched,
-    last color first. With unit weights a vertex about to open a color above
-    the gap is first recolored into a lower class (Tomita-style). A memo maps
-    candidate sets to proven bounds. The start clique seeds the incumbent and
-    is returned unless beaten.
+    One root call over every vertex. Each node colors its candidate set
+    greedily (optionally radius-t_A balls first); a clique takes at most one
+    vertex per color class, so the running sum of per-class maximum weights
+    bounds each prefix of the coloring, and only vertices whose prefix bound
+    exceeds the incumbent gap are branched, last color first. With unit
+    weights a vertex about to open a color above the gap is first recolored
+    into a lower class (Tomita-style). A memo maps candidate sets to proven
+    bounds. The start clique seeds the incumbent and is returned unless
+    beaten.
 
-    Without symbols the search runs the reverse tail loop: the clique through
-    vertex i with neighbors above i, for i from the last vertex down, with
-    tail_bound[i] bounding any candidate set inside vertices i.. and each pass
-    capped at what its tail can add (_CapReached unwinds it). With symbols the
-    graph must be word-symmetric with unit weights, and one root call keeps
-    candidate sets invariant under the stabilizer of the growing clique by
-    eliminating a branched vertex's whole orbit; a subtree whose node drops
-    back to per-vertex elimination keeps the plain scheme. The tail loop's
-    candidate sets (neighbors above i) are not invariant, hence the two
-    entry paths. Raises _NodeCapReached when the node budget runs out.
+    A branched vertex is then eliminated from its node's candidates. With
+    symbols the graph must be word-symmetric, and near the root the whole
+    orbit of the vertex under the stabilizer of the growing clique goes with
+    it, which keeps every candidate set invariant under that stabilizer; a
+    subtree whose node drops back to per-vertex elimination stays plain.
+    Raises _NodeCapReached once _NODE_CAP nodes are spent.
     """
     v_count = len(adj)
     best_weight = start_weight
     best_mask = start_mask
     recolor = all(w == 1 for w in weights)
-    # inf never prunes; only the tail loop fills entries in, from the top down
-    tail_bound = [math.inf] * (v_count + 1)
-    ceiling = math.inf
-    node_cap = math.inf if node_cap is None else node_cap
+    node_cap = _NODE_CAP
     nodes = 0
     # candidate set -> proven upper bound on the extra weight reachable inside it;
     # bounds certified on a node's normal return stay valid graph-wide
@@ -453,11 +427,6 @@ def _branch_and_bound(
             if clique_weight > best_weight:
                 best_weight = clique_weight
                 best_mask = clique_mask
-                if best_weight >= ceiling:
-                    raise _CapReached
-            return
-        lowest = (candidates & -candidates).bit_length() - 1
-        if clique_weight + tail_bound[lowest] <= best_weight:
             return
         known = memo.get(candidates)
         if known is not None and clique_weight + known <= best_weight:
@@ -557,19 +526,7 @@ def _branch_and_bound(
                 memo[full_set] = reachable
 
     try:
-        if symbols is not None:
-            expand(0, 0, (1 << v_count) - 1, ())
-            return best_weight, best_mask
-        tail_bound[v_count] = 0
-        for i in range(v_count - 1, -1, -1):
-            ceiling = tail_bound[i + 1] + weights[i]
-            if best_weight < ceiling:
-                try:
-                    above = ~((1 << (i + 1)) - 1)
-                    expand(1 << i, weights[i], adj[i] & above, None)
-                except _CapReached:
-                    pass
-            tail_bound[i] = min(ceiling, best_weight)
+        expand(0, 0, (1 << v_count) - 1, None if symbols is None else ())
         return best_weight, best_mask
     finally:
         # expand reaches itself through its closure cell; unbinding it breaks
@@ -581,69 +538,44 @@ def _branch_and_bound(
 def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
-    A deterministic greedy pass seeds the incumbent of _branch_and_bound.
-    Word-symmetric unit-weight graphs take its orbital root call in vertex
-    order, with radius-t_A balls as color classes once dbmin >= 3; there the
-    search is node-capped and a dense instance that hits the cap is settled
-    by the integer program instead. Every other graph is relabeled by
-    decreasing degree and takes the tail loop, which raises
-    BudgetExceededError once it has spent _TAIL_NODE_CAP nodes.
+    A deterministic greedy pass seeds the incumbent of one _branch_and_bound
+    root call in vertex order. A word-symmetric graph lends it the vertex
+    words for orbit elimination and, once dbmin >= 3, radius-t_A balls as
+    color classes; such a graph must weight its vertices by Hamming weight
+    alone (ValueError otherwise). Past _NODE_CAP nodes the search escalates
+    to the integer program, with the balls as rows where there are any, and
+    past _MILP_TIME_LIMIT seconds that raises BudgetExceededError.
     """
     edges = graph.edge_count()
     if edges > max_edges:
         raise BudgetExceededError(f"{edges} edges exceed the budget {max_edges}")
-    v_count = len(graph.vertices)
+    symbols = balls = None
+    if graph.word_symmetry:
+        by_weight: dict[int, int] = {}
+        for word, weight in zip(graph.vertices, graph.weights):
+            if by_weight.setdefault(hamming_weight(word), weight) != weight:
+                raise ValueError(
+                    "a word-symmetric graph weights its vertices by Hamming weight alone"
+                )
+        symbols = [w.symbols for w in graph.vertices]
+        # radius-t_A balls are independent sets: they color the search and
+        # give the integer program its rows; below dbmin = 3 they are single
+        # vertices, and the integer program takes pair rows instead
+        radius = (graph.dbmin - 1) // 2
+        if radius >= 1:
+            balls = _dist_b_masks(graph.vertices, 0, radius)
     seed_result = greedy_clique(graph, seed=0, iterations=_SEED_ITERATIONS)
     vertex_index = {w: i for i, w in enumerate(graph.vertices)}
     seed_mask = 0
     for member in seed_result.members:
         seed_mask |= 1 << vertex_index[member]
-
-    if graph.word_symmetry and all(w == 1 for w in graph.weights):
-        # radius-t_A balls are independent sets: they color the orbital search
-        # and give the integer program its rows. Below dbmin = 3 they shrink
-        # to single vertices, so neither gets them and the search is uncapped.
-        radius = (graph.dbmin - 1) // 2
-        balls = _dist_b_masks(graph.vertices, 0, radius) if radius >= 1 else None
-        try:
-            weight, mask = _branch_and_bound(
-                graph.adj,
-                graph.weights,
-                seed_result.total_weight,
-                seed_mask,
-                symbols=[w.symbols for w in graph.vertices],
-                balls=balls,
-                node_cap=_NODE_CAP if balls is not None else None,
-            )
-        except _NodeCapReached:
-            weight, mask = _exact_milp(graph, balls)
-        labels = graph.vertices
-    else:
-        order = sorted(range(v_count), key=lambda v: (-graph.degree(v), v))
-        position = [0] * v_count
-        for new, old in enumerate(order):
-            position[old] = new
-        adj = [0] * v_count
-        for new, old in enumerate(order):
-            for old_neighbor in _iter_bits(graph.adj[old]):
-                adj[new] |= 1 << position[old_neighbor]
-        start_mask = 0
-        for v in _iter_bits(seed_mask):
-            start_mask |= 1 << position[v]
-        try:
-            weight, mask = _branch_and_bound(
-                adj,
-                [graph.weights[old] for old in order],
-                seed_result.total_weight,
-                start_mask,
-                node_cap=_TAIL_NODE_CAP,
-            )
-        except _NodeCapReached:
-            raise BudgetExceededError(
-                f"search exceeded the budget of {_TAIL_NODE_CAP} branch-and-bound nodes"
-            ) from None
-        labels = [graph.vertices[old] for old in order]
-    members = tuple(sorted(labels[v] for v in _iter_bits(mask)))
+    try:
+        weight, mask = _branch_and_bound(
+            graph.adj, graph.weights, seed_result.total_weight, seed_mask, symbols, balls
+        )
+    except _NodeCapReached:
+        weight, mask = _exact_milp(graph, balls or ())
+    members = tuple(sorted(graph.vertices[v] for v in _iter_bits(mask)))
     return CliqueResult(members, weight, exact=True)
 
 
@@ -687,7 +619,7 @@ def optimal_binary_code_size(length: int, min_dist: int) -> int:
 def _binary_hamming_graph(n: int, min_dist: int) -> SearchGraph:
     words = _window_words(2, n, 0, n)
     masks = _dist_b_masks(words, min_dist)
-    return SearchGraph(tuple(words), (1,) * len(words), masks, min_dist, 0, n)
+    return SearchGraph(tuple(words), (1,) * len(words), masks, min_dist, word_symmetry=True)
 
 
 def search_code(

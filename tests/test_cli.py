@@ -365,10 +365,15 @@ class TestErrorPaths:
         assert main(["mindist", "--code", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_search_node_budget_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(ternary_ecc.search, "_TAIL_NODE_CAP", 10)
-        assert main(["search", "--n", "5", "--d", "3", "--mode", "restricted"]) == 1
-        assert "budget" in json.loads(capsys.readouterr().err)["error"]
+    def test_search_budgets_escalate_then_exit_one(self, capsys, monkeypatch):
+        # past the node budget the integer program still settles the search;
+        # past its time limit as well, the search is refused
+        monkeypatch.setattr(ternary_ecc.search, "_NODE_CAP", 10)
+        assert main(["search", "--n", "5", "--d", "3", "--mode", "restricted"]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] == 21
+        monkeypatch.setattr(ternary_ecc.search, "_MILP_TIME_LIMIT", 1e-3)
+        assert main(["search", "--n", "5", "--d", "3", "--mode", "unrestricted"]) == 1
+        assert "time limit" in json.loads(capsys.readouterr().err)["error"]
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["mindist", "--code", str(tmp_path / "nope.code")]) == 1

@@ -230,6 +230,16 @@ class TestCodecGuards:
         with pytest.raises(CodecError):
             StreamCodec(plan)
 
+    def test_dependent_generator_rows_rejected(self):
+        # two equal rows span the 2-word repetition code: one message bit,
+        # two rows, so the generator cannot index the codewords
+        outer = Code.from_strings(2, ["1100", "0011"])
+        inner = Code.from_generator(["11", "11"])
+        assert inner.words == repetition(2).words
+        plan = ConstructionPlan(outer, {2: inner}, dbmin=4)
+        with pytest.raises(CodecError, match="dependent"):
+            StreamCodec(plan)
+
     def test_generator_bijection_used(self, plan_5_21_3):
         # the inner length-5 code encodes by generator rows: message 1000
         # lands on the last listed row

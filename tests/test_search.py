@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from ternary_ecc import search
-from ternary_ecc.core import Word, hamming_weight, min_hamming_distance
+from ternary_ecc.core import Code, Word, hamming_weight, min_hamming_distance
 from ternary_ecc.metric import dist_b, min_dist_b
 from ternary_ecc.search import (
     BudgetExceededError,
@@ -39,7 +40,7 @@ def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGrap
         if rng.random() < density:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    return SearchGraph(tuple(words), (1,) * v_count, tuple(adj), 1, 0, 4)
+    return SearchGraph(tuple(words), (1,) * v_count, tuple(adj), 1)
 
 
 class TestGraphBuilders:
@@ -139,12 +140,12 @@ class TestOptimalBinaryCodes:
             assert min_hamming_distance(code) >= dist
 
     def test_pinned_members(self):
-        # these searches take the plain unit-weight path and decide the inner
-        # codes that restricted search writes out
+        # these searches take the orbital path over the binary Hamming graph
+        # and decide the inner codes that restricted search writes out
         pinned = {
             (6, 3): "000110 001101 010011 011000 100000 101011 110101 111110",
-            (7, 3): "0001011 0001100 0010000 0010111 0100001 0100110 0111010 0111101 "
-            "1000010 1000101 1011001 1011110 1101000 1101111 1110011 1110100",
+            (7, 3): "0000000 0001110 0010111 0011001 0100101 0101011 0110010 0111100 "
+            "1000011 1001101 1010100 1011010 1100110 1101000 1110001 1111111",
             (7, 4): "0010110 0011001 0100101 0101010 1000011 1001100 1110000 1111111",
             (8, 5): "00111101 01100010 10001000 11010111",
         }
@@ -201,14 +202,12 @@ class TestGreedy:
         if family == "window":
             return [build_unrestricted_graph(5, 3, wmin=1, wmax=4)]
         rng = random.Random(41)
-        graphs = [SearchGraph((), (), (), 1, 0, 4)]
+        graphs = [SearchGraph((), (), (), 1)]
         for _ in range(30):
             v_count = rng.randrange(1, 60)
             base = random_graph(rng, v_count, rng.uniform(0.1, 0.9))
             weights = tuple(rng.randrange(1, 6) for _ in range(v_count))
-            graphs.append(
-                SearchGraph(base.vertices, weights, base.adj, base.dbmin, base.wmin, base.wmax)
-            )
+            graphs.append(replace(base, weights=weights))
         return graphs
 
     @pytest.mark.parametrize(
@@ -223,7 +222,7 @@ class TestGreedy:
                 assert greedy_clique(graph, seed, iterations) == expected
 
     def test_degenerate_graphs(self):
-        empty = greedy_clique(SearchGraph((), (), (), 1, 0, 0), seed=0, iterations=3)
+        empty = greedy_clique(SearchGraph((), (), (), 1), seed=0, iterations=3)
         assert empty.members == () and empty.total_weight == 0
         single = greedy_clique(build_unrestricted_graph(0, 1), seed=0, iterations=1)
         assert single.size == 1 and single.total_weight == 1
@@ -258,9 +257,7 @@ class TestExact:
             v_count = rng.randrange(4, 12)
             base = random_graph(rng, v_count, rng.uniform(0.2, 0.9))
             weights = tuple(rng.randrange(1, 9) for _ in range(v_count))
-            graph = SearchGraph(
-                base.vertices, weights, base.adj, base.dbmin, base.wmin, base.wmax
-            )
+            graph = replace(base, weights=weights)
             adjacency = [
                 [bool(graph.adj[a] >> b & 1) for b in range(v_count)]
                 for a in range(v_count)
@@ -301,13 +298,52 @@ class TestExact:
         with pytest.raises(BudgetExceededError):
             exact_clique(graph, max_edges=10)
 
-    def test_tail_loop_node_budget(self, monkeypatch):
-        # the tail loop has no integer-programming fallback, so it refuses
+    @staticmethod
+    def _spy_on_milp(monkeypatch) -> list[int]:
+        """Record the row-ball count of every escalation to the integer program."""
+        calls: list[int] = []
+        milp = search._exact_milp
+
+        def spy(graph, balls):
+            calls.append(len(balls))
+            return milp(graph, balls)
+
+        monkeypatch.setattr(search, "_exact_milp", spy)
+        return calls
+
+    def test_node_budget_escalates_to_the_integer_program(self, monkeypatch):
+        # sphere rows for the word-symmetric graph, pair rows for its plain copy
         graph = _binary_hamming_graph(7, 3)
         assert exact_clique(graph).total_weight == 16
-        monkeypatch.setattr(search, "_TAIL_NODE_CAP", 50)
-        with pytest.raises(BudgetExceededError):
-            exact_clique(graph)
+        calls = self._spy_on_milp(monkeypatch)
+        monkeypatch.setattr(search, "_NODE_CAP", 10)
+        for copy in (graph, replace(graph, word_symmetry=False)):
+            result = exact_clique(copy)
+            assert result.exact and result.total_weight == 16
+            assert min_hamming_distance(Code(2, 7, frozenset(result.members))) >= 3
+        assert calls == [128, 0]
+
+    def test_distance_two_search_is_capped(self, monkeypatch):
+        # below dbmin = 3 there are no balls, but the node budget still holds
+        graph = build_unrestricted_graph(4, 2)
+        expected = exact_clique(graph).total_weight
+        calls = self._spy_on_milp(monkeypatch)
+        monkeypatch.setattr(search, "_NODE_CAP", 10)
+        result = exact_clique(graph)
+        assert result.exact and result.total_weight == expected
+        assert calls == [0]
+
+    def test_word_symmetry_needs_weights_by_hamming_weight(self):
+        # orbit elimination is sound only if the symmetries keep vertex weights
+        graph = build_restricted_graph(4, 3)
+        assert graph.vertices[1] == Word(2, (0, 0, 0, 1))
+        weights = list(graph.weights)
+        weights[1] += 1
+        skewed = replace(graph, weights=tuple(weights))
+        with pytest.raises(ValueError, match="Hamming weight"):
+            exact_clique(skewed)
+        plain = exact_clique(replace(skewed, word_symmetry=False))
+        assert plain.total_weight >= exact_clique(graph).total_weight
 
     def test_milp_time_budget(self, monkeypatch):
         # the unrestricted (5, 3) graph takes HiGHS about a minute to optimise
@@ -318,27 +354,32 @@ class TestExact:
             search._exact_milp(graph, balls)
 
     def test_symmetry_pruning_matches_plain_search(self):
-        # the word-symmetric fast path must agree with the generic engine, on
-        # ternary words and, with unit weights, on binary outer words
+        # orbit elimination must agree with per-vertex elimination on ternary
+        # words, on binary outer words with unit and with inner-code weights,
+        # and on the binary Hamming graphs behind the inner codes
         graphs = [build_unrestricted_graph(n, d) for n in (2, 3, 4) for d in (2, 3, 4)]
         graphs += [
             build_restricted_graph(n, d, weight_oracle=lambda _: 1)
             for n in (3, 4, 5, 6)
             for d in (2, 3, 4)
         ]
+        graphs += [build_restricted_graph(n, d) for n in range(3, 8) for d in range(2, 6)]
+        # A(8, 3) is left out: it exhausts the node budget and the integer
+        # program takes minutes
+        graphs += [
+            _binary_hamming_graph(n, d)
+            for n in range(3, 9)
+            for d in (3, 4)
+            if (n, d) != (8, 3)
+        ]
         for graph in graphs:
-            plain = SearchGraph(
-                graph.vertices,
-                graph.weights,
-                graph.adj,
-                graph.dbmin,
-                graph.wmin,
-                graph.wmax,
-                word_symmetry=False,
-            )
             result = exact_clique(graph)
-            assert result.total_weight == exact_clique(plain).total_weight
-            assert result.size == result.total_weight
+            plain = exact_clique(replace(graph, word_symmetry=False))
+            assert result.exact and plain.exact
+            assert result.total_weight == plain.total_weight
+            index = {w: i for i, w in enumerate(graph.vertices)}
+            members = [index[w] for w in result.members]
+            assert sum(graph.weights[v] for v in members) == result.total_weight
             for a, b in combinations(result.members, 2):
                 assert dist_b(a, b) >= graph.dbmin
 
@@ -354,9 +395,7 @@ class TestExact:
                 if weighted
                 else base.weights
             )
-            graph = SearchGraph(
-                base.vertices, weights, base.adj, base.dbmin, base.wmin, base.wmax
-            )
+            graph = replace(base, weights=weights)
             oracle = nx.Graph()
             for v in range(v_count):
                 oracle.add_node(v, weight=weights[v])
@@ -376,15 +415,7 @@ class TestExact:
         # weight windows stay closed under the word symmetries
         for wmin, wmax, dbmin in ((2, 5, 4), (0, 3, 3), (3, 5, 5)):
             graph = build_unrestricted_graph(5, dbmin, wmin=wmin, wmax=wmax)
-            plain = SearchGraph(
-                graph.vertices,
-                graph.weights,
-                graph.adj,
-                graph.dbmin,
-                graph.wmin,
-                graph.wmax,
-                word_symmetry=False,
-            )
+            plain = replace(graph, word_symmetry=False)
             assert (
                 exact_clique(graph).total_weight == exact_clique(plain).total_weight
             )
