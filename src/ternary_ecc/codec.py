@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Code, ErasureDecodeError, Word, _gf2_span, hamming_weight
-from .construct import (
-    ConstructionPlan,
-    gather_from_support,
-    lift_erasure_word,
-    lower_to_erasure_word,
-    scatter_into_support,
-)
+from .core import Code, ErasureDecodeError, Word, _gf2_span
+from .construct import ConstructionPlan
 
 Bits = tuple[int, ...]
 
@@ -60,6 +54,10 @@ class MessageStream:
         return self._pos >= len(self._bits) and self._pad_started
 
     def read(self, k: int) -> Bits:
+        start, stop = self._pos, self._pos + k
+        if stop <= len(self._bits):
+            self._pos = stop
+            return self._bits[start:stop]
         out = []
         for _ in range(k):
             if self._pos < len(self._bits):
@@ -132,7 +130,7 @@ class _MessageMap:
             self._encode_table = list(_gf2_span(code.generator, code.n))
         else:
             self._encode_table = code.sorted_words()
-        self._decode_table = {w: i for i, w in enumerate(self._encode_table)}
+        self._bits_of = {w: _int_to_bits(i, k) for i, w in enumerate(self._encode_table)}
 
     def encode(self, bits: Bits) -> Word:
         if len(bits) != self.k:
@@ -140,7 +138,7 @@ class _MessageMap:
         return self._encode_table[_bits_to_int(bits)]
 
     def decode(self, word: Word) -> Bits:
-        return _int_to_bits(self._decode_table[word], self.k)
+        return self._bits_of[word]
 
 
 def _bits_to_int(bits: Bits) -> int:
@@ -155,7 +153,11 @@ def _int_to_bits(value: int, k: int) -> Bits:
 
 
 class StreamCodec:
-    """Encoder/decoder pair for one validated ternary construction plan."""
+    """Encoder/decoder pair for one validated ternary construction plan.
+
+    Every outer codeword gets a row, built once here, so a block is encoded
+    and decoded by table lookups and one pass over the support.
+    """
 
     def __init__(self, plan: ConstructionPlan):
         if plan.q != 3:
@@ -168,6 +170,14 @@ class StreamCodec:
             self._inner[d] = _MessageMap(plan.inner_for(d))
         if self._outer.k == 0 and all(m.k == 0 for m in self._inner.values()):
             raise CodecError("plan carries no information; every block is fixed")
+        # (outer codeword, its message bits, its support, the inner map for
+        # its weight), in outer message order; looked up by codeword to decode
+        self._rows: list[tuple[Word, Bits, tuple[int, ...], _MessageMap]] = []
+        for word in self._outer._encode_table:
+            support = tuple(j for j, s in enumerate(word.symbols) if s)
+            inner = self._inner[len(support)]
+            self._rows.append((word, self._outer.decode(word), support, inner))
+        self._row_of = {row[0]: row for row in self._rows}
 
     @property
     def outer_message_len(self) -> int:
@@ -182,40 +192,41 @@ class StreamCodec:
     def inner_codeword(self, weight: int, bits: Bits) -> Word:
         return self._inner[weight].encode(bits)
 
+    def _lift(self, support: tuple[int, ...], inner_word: Word) -> Word:
+        """The channel word: inner symbols moved up by one onto the support."""
+        symbols = [0] * self.plan.outer.n
+        for j, s in zip(support, inner_word.symbols):
+            symbols[j] = s + 1
+        return Word(3, tuple(symbols))
+
     def encode_block(self, stream: MessageStream) -> BlockTrace:
         u1 = stream.read(self._outer.k)
-        x1 = self._outer.encode(u1)
-        inner = self._inner[hamming_weight(x1)]
+        x1, _, support, inner = self._rows[_bits_to_int(u1)]
         u2 = stream.read(inner.k)
         x2 = inner.encode(u2)
-        x = scatter_into_support(x1, lift_erasure_word(x2.symbols, 3))
-        return BlockTrace(u1, x1, u2, x2, x)
+        return BlockTrace(u1, x1, u2, x2, self._lift(support, x2))
 
-    def decode_block_trace(self, received: Word) -> DecodeTrace:
+    def _decode(self, received: Word) -> tuple[Word, tuple, tuple[int | None, ...], Word]:
+        """Binary projection, row of the outer estimate, inner erasure pattern
+        and inner estimate of one received block."""
         if received.q != 3 or len(received) != self.plan.outer.n:
             raise ValueError("received word does not match the plan parameters")
-        y1 = Word(2, tuple(1 if s else 0 for s in received.symbols))
-        x1_hat = self._outer.code.nearest(y1)
-        u1_hat = self._outer.decode(x1_hat)
-        weight = hamming_weight(x1_hat)
-        inner = self._inner.get(weight)
-        if inner is None:
-            raise BlockDecodeError(
-                f"outer decode landed on weight {weight}, which no inner code covers"
-            )
-        # keep received symbols on the support of the outer estimate, then undo the lift
-        masked = Word(
-            3, tuple(s if m else 0 for s, m in zip(received.symbols, x1_hat.symbols))
-        )
-        y2 = lower_to_erasure_word(gather_from_support(x1_hat, masked))
-        x2_hat = inner.code.erasure_decode(y2)
-        u2_hat = inner.decode(x2_hat)
-        x_hat = scatter_into_support(x1_hat, lift_erasure_word(x2_hat.symbols, 3))
-        return DecodeTrace(y1, x1_hat, u1_hat, y2, x2_hat, u2_hat, x_hat)
+        symbols = received.symbols
+        y1 = Word(2, tuple(1 if s else 0 for s in symbols))
+        row = self._row_of[self._outer.code.nearest(y1)]
+        _, _, support, inner = row
+        # received symbols on the outer estimate's support, lift undone
+        y2 = tuple(symbols[j] - 1 if symbols[j] else None for j in support)
+        return y1, row, y2, inner.code.erasure_decode(y2)
+
+    def decode_block_trace(self, received: Word) -> DecodeTrace:
+        y1, (x1_hat, u1_hat, support, inner), y2, x2_hat = self._decode(received)
+        x_hat = self._lift(support, x2_hat)
+        return DecodeTrace(y1, x1_hat, u1_hat, y2, x2_hat, inner.decode(x2_hat), x_hat)
 
     def decode_block(self, received: Word) -> tuple[Bits, Bits]:
-        trace = self.decode_block_trace(received)
-        return trace.u1_hat, trace.u2_hat
+        _, (_, u1_hat, _, inner), _, x2_hat = self._decode(received)
+        return u1_hat, inner.decode(x2_hat)
 
     def encode_stream(self, bits: Iterable[int]) -> list[Word]:
         stream = MessageStream(bits)
@@ -229,9 +240,8 @@ class StreamCodec:
         for index, received in enumerate(words):
             try:
                 u1, u2 = self.decode_block(received)
-            except (ErasureDecodeError, BlockDecodeError) as exc:
+            except ErasureDecodeError as exc:
                 raise BlockDecodeError(f"block {index}: {exc}", index) from exc
             out.extend(u1)
             out.extend(u2)
         return tuple(out)
-

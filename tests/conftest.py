@@ -5,6 +5,7 @@ import time
 import pytest
 
 from ternary_ecc.construct import ConstructionPlan, build_code
+from ternary_ecc.core import Code
 from ternary_ecc.library import (
     extended_hamming_8_4_4,
     nonlinear_5_4_3,
@@ -44,6 +45,13 @@ def plan_8_241_4() -> ConstructionPlan:
 @pytest.fixture(scope="session")
 def code_8_241_4(plan_8_241_4):
     return build_code(plan_8_241_4)
+
+
+@pytest.fixture(scope="session")
+def mini_plan() -> ConstructionPlan:
+    """Two antipodal outer words of weight 2, inner repetition pairs."""
+    outer = Code.from_strings(2, ["1100", "0011"])
+    return ConstructionPlan(outer, {2: repetition(2)}, dbmin=4)
 
 
 @pytest.fixture(scope="session")

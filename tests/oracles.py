@@ -10,7 +10,26 @@ import math
 import random
 from itertools import product
 
-from ternary_ecc.core import Code, ErasureDecodeError, Word, hamming_distance
+from ternary_ecc.codec import (
+    BlockDecodeError,
+    BlockTrace,
+    DecodeTrace,
+    MessageStream,
+    StreamCodec,
+)
+from ternary_ecc.construct import (
+    gather_from_support,
+    lift_erasure_word,
+    lower_to_erasure_word,
+    scatter_into_support,
+)
+from ternary_ecc.core import (
+    Code,
+    ErasureDecodeError,
+    Word,
+    hamming_distance,
+    hamming_weight,
+)
 from ternary_ecc.decode import DecodeResult
 from ternary_ecc.metric import INF, dist_a, dist_b, dist_ml
 from ternary_ecc.search import CliqueResult, SearchGraph
@@ -287,3 +306,42 @@ def erasure_decode_reference(code: Code, pattern) -> Word:
             f"{len(matches)} codewords consistent with the unerased positions"
         )
     return matches[0]
+
+
+def encode_block_reference(codec: StreamCodec, stream: MessageStream) -> BlockTrace:
+    """StreamCodec.encode_block before per-plan block tables: the message maps
+    pick both codewords, then the lifted inner word is scattered over the
+    outer word's support."""
+    u1 = stream.read(codec._outer.k)
+    x1 = codec._outer.encode(u1)
+    inner = codec._inner[hamming_weight(x1)]
+    u2 = stream.read(inner.k)
+    x2 = inner.encode(u2)
+    x = scatter_into_support(x1, lift_erasure_word(x2.symbols, 3))
+    return BlockTrace(u1, x1, u2, x2, x)
+
+
+def decode_block_trace_reference(codec: StreamCodec, received: Word) -> DecodeTrace:
+    """StreamCodec.decode_block_trace before per-plan block tables: every
+    intermediate value goes through a validated Word and the construct
+    support mappings."""
+    if received.q != 3 or len(received) != codec.plan.outer.n:
+        raise ValueError("received word does not match the plan parameters")
+    y1 = Word(2, tuple(1 if s else 0 for s in received.symbols))
+    x1_hat = codec._outer.code.nearest(y1)
+    u1_hat = codec._outer.decode(x1_hat)
+    weight = hamming_weight(x1_hat)
+    inner = codec._inner.get(weight)
+    if inner is None:
+        raise BlockDecodeError(
+            f"outer decode landed on weight {weight}, which no inner code covers"
+        )
+    # keep received symbols on the support of the outer estimate, then undo the lift
+    masked = Word(
+        3, tuple(s if m else 0 for s, m in zip(received.symbols, x1_hat.symbols))
+    )
+    y2 = lower_to_erasure_word(gather_from_support(x1_hat, masked))
+    x2_hat = inner.code.erasure_decode(y2)
+    u2_hat = inner.decode(x2_hat)
+    x_hat = scatter_into_support(x1_hat, lift_erasure_word(x2_hat.symbols, 3))
+    return DecodeTrace(y1, x1_hat, u1_hat, y2, x2_hat, u2_hat, x_hat)

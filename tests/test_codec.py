@@ -21,13 +21,6 @@ def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
 
 
-@pytest.fixture(scope="module")
-def mini_plan() -> ConstructionPlan:
-    """Two antipodal outer words of weight 2, inner repetition pairs."""
-    outer = Code.from_strings(2, ["1100", "0011"])
-    return ConstructionPlan(outer, {2: repetition(2)}, dbmin=4)
-
-
 def corruptions_within_one_error(x: Word):
     yield x
     for i, s in enumerate(x.symbols):

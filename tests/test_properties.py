@@ -1,16 +1,19 @@
 """Property tests: the bit-sliced codebook scan against the linear-scan and
-pairwise oracles, and the code file round trip, over random small codes."""
+pairwise oracles, and the code file round trip, over random small codes; the
+stream codec's block path against its pre-table version, over three plans."""
 
 from __future__ import annotations
 
 import io
 import math
+from itertools import product
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from ternary_ecc.codec import MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
     Code,
     ErasureDecodeError,
@@ -23,8 +26,10 @@ from ternary_ecc.decode import decode_da, decode_ml
 from ternary_ecc.metric import min_dist_b
 
 from oracles import (
+    decode_block_trace_reference,
     decode_da_reference,
     decode_ml_reference,
+    encode_block_reference,
     erasure_decode_reference,
     min_dist_b_reference,
     min_hamming_distance_reference,
@@ -131,3 +136,94 @@ def test_code_file_round_trip(case):
     save_code(code, buffer)
     buffer.seek(0)
     assert load_code(buffer) == code
+
+
+@pytest.fixture(scope="module", params=["plan_5_21_3", "plan_8_241_4", "mini_plan"])
+def stream_codec(request):
+    return StreamCodec(request.getfixturevalue(request.param))
+
+
+def _block_outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _decode_block_reference(codec, received):
+    trace = decode_block_trace_reference(codec, received)
+    return trace.u1_hat, trace.u2_hat
+
+
+STREAM_SETTINGS = hypothesis.settings(
+    max_examples=100, deadline=None, derandomize=True, database=None
+)
+messages = st.lists(st.integers(0, 1), max_size=96).map(tuple)
+
+
+@STREAM_SETTINGS
+@hypothesis.given(messages, st.data())
+def test_stream_round_trip_within_radius(stream_codec, message, data):
+    # at most floor((dbmin - 1) / 2) errors per block, each a zero turned
+    # non-zero or the reverse, leave the message intact
+    plan = stream_codec.plan
+    radius = (plan.dbmin - 1) // 2
+    words = stream_codec.encode_stream(message)
+    stream = MessageStream(message)
+    reference_words = []
+    while not stream.drained:
+        reference_words.append(encode_block_reference(stream_codec, stream).x)
+    assert words == reference_words
+    received = []
+    for word in words:
+        symbols = list(word.symbols)
+        for i in data.draw(st.sets(st.integers(0, plan.outer.n - 1), max_size=radius)):
+            symbols[i] = data.draw(st.sampled_from((1, 2))) if symbols[i] == 0 else 0
+        received.append(Word(3, tuple(symbols)))
+    bits = stream_codec.decode_stream(received)
+    reference_bits = ()
+    for y in received:
+        u1, u2 = _decode_block_reference(stream_codec, y)
+        reference_bits += u1 + u2
+    assert bits == reference_bits
+    assert strip_padding(bits) == message
+
+
+@STREAM_SETTINGS
+@hypothesis.given(st.data())
+def test_decode_block_matches_reference(stream_codec, data):
+    # any received word, beyond the decoding radius or of the wrong shape too
+    n = stream_codec.plan.outer.n
+    q = data.draw(st.sampled_from((3, 3, 3, 2)))
+    length = data.draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+    symbols = data.draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
+    received = Word(q, tuple(symbols))
+    assert _block_outcome(stream_codec.decode_block, received) == _block_outcome(
+        _decode_block_reference, stream_codec, received
+    )
+    assert _block_outcome(stream_codec.decode_block_trace, received) == _block_outcome(
+        decode_block_trace_reference, stream_codec, received
+    )
+
+
+def test_decode_block_matches_reference_on_every_word(stream_codec):
+    for symbols in product(range(3), repeat=stream_codec.plan.outer.n):
+        received = Word(3, symbols)
+        assert _block_outcome(stream_codec.decode_block_trace, received) == _block_outcome(
+            decode_block_trace_reference, stream_codec, received
+        )
+
+
+@STREAM_SETTINGS
+@hypothesis.given(messages)
+def test_encode_block_matches_reference(stream_codec, message):
+    stream, reference = MessageStream(message), MessageStream(message)
+    read = ()
+    while not reference.drained:
+        trace = stream_codec.encode_block(stream)
+        assert trace == encode_block_reference(stream_codec, reference)
+        assert (stream.consumed, stream.drained) == (reference.consumed, reference.drained)
+        read += trace.u1 + trace.u2
+    assert stream.drained
+    # the padding rule: the message, a single 1, then zeros
+    assert read == message + (1,) + (0,) * (len(read) - len(message) - 1)

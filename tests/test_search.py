@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -30,6 +30,26 @@ from oracles import (
     greedy_clique_reference,
     pairwise_dist_b_masks,
 )
+
+
+def word_group(q: int, n: int):
+    """The words of length n in lexicographic order, and every coordinate
+    permutation combined with every set of per-coordinate 1<->2 swaps (on
+    ternary words only), each as (image index of every word, swapped
+    coordinates)."""
+    words = list(product(range(q), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    swap = (0, 2, 1)
+    swap_sets = product((False, True), repeat=n) if q == 3 else [(False,) * n]
+    group = []
+    for swapped in swap_sets:
+        for perm in permutations(range(n)):
+            image = tuple(
+                index[tuple(swap[w[p]] if t else w[p] for p, t in zip(perm, swapped))]
+                for w in words
+            )
+            group.append((image, [i for i, t in enumerate(swapped) if t]))
+    return words, group
 
 
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
@@ -419,6 +439,38 @@ class TestExact:
             assert (
                 exact_clique(graph).total_weight == exact_clique(plain).total_weight
             )
+
+    @pytest.mark.parametrize(
+        "q, n", [(3, n) for n in range(1, 5)] + [(2, n) for n in range(1, 6)]
+    )
+    def test_orbit_masks_match_brute_force_stabilizer(self, q, n):
+        # each orbit must lie inside an orbit of the group elements fixing
+        # every chosen word, and equal the orbit under the documented
+        # subgroup: those elements that swap only all-zero columns
+        words, group = word_group(q, n)
+        rng = random.Random(10 * q + n)
+        for chosen_count in range(5):
+            for _ in range(4):
+                chosen = [rng.randrange(len(words)) for _ in range(chosen_count)]
+                free = [all(words[c][i] == 0 for c in chosen) for i in range(n)]
+                stabilizer = [
+                    (image, swapped)
+                    for image, swapped in group
+                    if all(image[c] == c for c in chosen)
+                ]
+                pending = rng.getrandbits(len(words))
+                pending_set = set(search._iter_bits(pending))
+                orbit_of = search._orbit_masks(pending, words, [words[c] for c in chosen])
+                assert set(orbit_of) == pending_set
+                for v, mask in orbit_of.items():
+                    members = set(search._iter_bits(mask))
+                    assert members <= {image[v] for image, _ in stabilizer}
+                    documented = {
+                        image[v]
+                        for image, swapped in stabilizer
+                        if all(free[i] for i in swapped)
+                    }
+                    assert members == documented & pending_set
 
 
 class TestGoldenValues:
