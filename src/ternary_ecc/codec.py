@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Code, ErasureDecodeError, Word, _gf2_span
-from .construct import ConstructionPlan
+from .construct import (
+    ConstructionPlan,
+    SupportMap,
+    lift_onto_support,
+    lower_from_support,
+)
 
 Bits = tuple[int, ...]
 
@@ -54,21 +59,13 @@ class MessageStream:
         return self._pos >= len(self._bits) and self._pad_started
 
     def read(self, k: int) -> Bits:
-        start, stop = self._pos, self._pos + k
-        if stop <= len(self._bits):
-            self._pos = stop
-            return self._bits[start:stop]
-        out = []
-        for _ in range(k):
-            if self._pos < len(self._bits):
-                out.append(self._bits[self._pos])
-            elif not self._pad_started:
-                self._pad_started = True
-                out.append(1)
-            else:
-                out.append(0)
-            self._pos += 1
-        return tuple(out)
+        out = self._bits[self._pos:self._pos + k]
+        short = k - len(out)
+        if short:
+            out += (0 if self._pad_started else 1,) + (0,) * (short - 1)
+            self._pad_started = True
+        self._pos += k
+        return out
 
 
 def strip_padding(bits: Sequence[int]) -> Bits:
@@ -174,7 +171,7 @@ class StreamCodec:
         # its weight), in outer message order; looked up by codeword to decode
         self._rows: list[tuple[Word, Bits, tuple[int, ...], _MessageMap]] = []
         for word in self._outer._encode_table:
-            support = tuple(j for j, s in enumerate(word.symbols) if s)
+            support = SupportMap.of(word).positions
             inner = self._inner[len(support)]
             self._rows.append((word, self._outer.decode(word), support, inner))
         self._row_of = {row[0]: row for row in self._rows}
@@ -192,19 +189,13 @@ class StreamCodec:
     def inner_codeword(self, weight: int, bits: Bits) -> Word:
         return self._inner[weight].encode(bits)
 
-    def _lift(self, support: tuple[int, ...], inner_word: Word) -> Word:
-        """The channel word: inner symbols moved up by one onto the support."""
-        symbols = [0] * self.plan.outer.n
-        for j, s in zip(support, inner_word.symbols):
-            symbols[j] = s + 1
-        return Word(3, tuple(symbols))
-
     def encode_block(self, stream: MessageStream) -> BlockTrace:
         u1 = stream.read(self._outer.k)
         x1, _, support, inner = self._rows[_bits_to_int(u1)]
         u2 = stream.read(inner.k)
         x2 = inner.encode(u2)
-        return BlockTrace(u1, x1, u2, x2, self._lift(support, x2))
+        x = lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
+        return BlockTrace(u1, x1, u2, x2, x)
 
     def _decode(self, received: Word) -> tuple[Word, tuple, tuple[int | None, ...], Word]:
         """Binary projection, row of the outer estimate, inner erasure pattern
@@ -215,13 +206,14 @@ class StreamCodec:
         y1 = Word(2, tuple(1 if s else 0 for s in symbols))
         row = self._row_of[self._outer.code.nearest(y1)]
         _, _, support, inner = row
-        # received symbols on the outer estimate's support, lift undone
-        y2 = tuple(symbols[j] - 1 if symbols[j] else None for j in support)
+        y2 = lower_from_support(symbols, support)
         return y1, row, y2, inner.code.erasure_decode(y2)
 
     def decode_block_trace(self, received: Word) -> DecodeTrace:
         y1, (x1_hat, u1_hat, support, inner), y2, x2_hat = self._decode(received)
-        x_hat = self._lift(support, x2_hat)
+        x_hat = lift_onto_support(
+            self.plan.outer.n, support, x2_hat.symbols, self.plan.q
+        )
         return DecodeTrace(y1, x1_hat, u1_hat, y2, x2_hat, inner.decode(x2_hat), x_hat)
 
     def decode_block(self, received: Word) -> tuple[Bits, Bits]:

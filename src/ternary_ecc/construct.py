@@ -18,7 +18,6 @@ from .core import (
     Word,
     WeightEnumerator,
     _is_ascii_digits,
-    hamming_weight,
     min_hamming_distance,
     weight_enumerator,
 )
@@ -97,6 +96,28 @@ def lift_erasure_word(symbols: Sequence[ErasureSymbol], q: int) -> Word:
 def lower_to_erasure_word(word: Word) -> tuple[ErasureSymbol, ...]:
     """Inverse of lift_erasure_word: zero becomes an erasure, s becomes s - 1."""
     return tuple(None if s == 0 else s - 1 for s in word.symbols)
+
+
+def lift_onto_support(
+    n: int, support: Sequence[int], symbols: Sequence[int], q: int
+) -> Word:
+    """The length-n q-ary word carrying the lifted (q-1)-ary symbols on the support.
+
+    Same word as scatter_into_support(mask, lift_erasure_word(symbols, q)) for
+    the binary mask with that support, built without the intermediate words.
+    """
+    word = [0] * n
+    for pos, s in zip(support, symbols, strict=True):
+        word[pos] = s + 1
+    return Word(q, tuple(word))
+
+
+def lower_from_support(
+    symbols: Sequence[int], support: Sequence[int]
+) -> tuple[ErasureSymbol, ...]:
+    """Inverse of lift_onto_support: read the support positions, zero becomes
+    an erasure and s becomes s - 1."""
+    return tuple(symbols[pos] - 1 if symbols[pos] else None for pos in support)
 
 
 def parse_erasure_text(text: str) -> tuple[ErasureSymbol, ...]:
@@ -187,10 +208,10 @@ def build_code(plan: ConstructionPlan) -> Code:
     n = plan.outer.n
     seen: set[Word] = set()
     for mask in plan.outer.sorted_words():
-        inner = plan.inner_for(hamming_weight(mask))
+        support = SupportMap.of(mask).positions
+        inner = plan.inner_for(len(support))
         for inner_word in sorted(inner.words):
-            lifted = lift_erasure_word(inner_word.symbols, plan.q)
-            codeword = scatter_into_support(mask, lifted)
+            codeword = lift_onto_support(n, support, inner_word.symbols, plan.q)
             if codeword in seen:
                 raise PlanError(f"construction produced {codeword} twice")
             seen.add(codeword)

@@ -13,6 +13,8 @@ from ternary_ecc.construct import (
     format_erasure_text,
     gather_from_support,
     lift_erasure_word,
+    lift_onto_support,
+    lower_from_support,
     lower_to_erasure_word,
     parse_erasure_text,
     scatter_into_support,
@@ -96,6 +98,27 @@ class TestLiftLower:
     def test_symbol_out_of_subalphabet(self):
         with pytest.raises(ValueError):
             lift_erasure_word((2,), 3)
+
+    def test_support_helpers_match_word_helpers(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            q = rng.choice((3, 4, 5))
+            n = rng.randrange(0, 10)
+            mask = Word(2, tuple(rng.randrange(2) for _ in range(n)))
+            support = SupportMap.of(mask).positions
+            inner = tuple(rng.randrange(q - 1) for _ in support)
+            lifted = lift_onto_support(n, support, inner, q)
+            assert lifted == scatter_into_support(mask, lift_erasure_word(inner, q))
+            received = Word(q, tuple(rng.randrange(q) for _ in range(n)))
+            assert lower_from_support(received.symbols, support) == (
+                lower_to_erasure_word(gather_from_support(mask, received))
+            )
+
+    def test_lift_onto_support_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            lift_onto_support(4, (0, 1), (1,), 3)
+        with pytest.raises(ValueError):
+            lift_onto_support(4, (0,), (2,), 3)
 
     def test_format_parse_roundtrip(self):
         text = "1?0?1"
