@@ -1,4 +1,4 @@
-"""Sphere volumes under dist_b and the sphere-packing bound on ternary code size.
+"""Sphere volumes under dist_b, the correction radius and the sphere-packing bound.
 
 The ternary space under dist_b is a hypercube centered on the all-zero word:
 spheres shrink as their center moves toward the vertices (maximum-weight
@@ -11,7 +11,12 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .metric import correction_capability
+
+def correction_capability(dbmin: int) -> int:
+    """Guaranteed correction radius floor((dbmin - 1) / 2) under dist_a decoding."""
+    if dbmin < 1:
+        raise ValueError(f"minimum distance must be >= 1, got {dbmin}")
+    return (dbmin - 1) // 2
 
 
 @cache
@@ -41,7 +46,8 @@ def sphere_volume_min(n: int, r: int) -> int:
     """Volume of a sphere centered on a maximum-weight word, in closed form.
 
     Words at distance d from the center split into e2 coordinates moved to the
-    other non-zero symbol (cost 2 each) and d - 2*e2 coordinates zeroed.
+    other non-zero symbol (cost 2 each) and d - 2*e2 coordinates zeroed; at
+    most n coordinates can move, so past r = 2n the sphere holds all 3^n words.
     """
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
@@ -49,7 +55,7 @@ def sphere_volume_min(n: int, r: int) -> int:
         raise ValueError(f"radius must be non-negative, got {r}")
     total = 0
     for d in range(r + 1):
-        for e2 in range(d // 2 + 1):
+        for e2 in range(min(d // 2, n) + 1):
             total += comb(n, e2) * comb(n - e2, d - 2 * e2)
     return total
 

@@ -381,7 +381,10 @@ def load_code(source: str | Path | TextIO) -> Code:
         raise CodeFormatError(f"malformed header {lines[0]!r}, expected 'q n M'")
     if not all(_is_ascii_digits(part) for part in header):
         raise CodeFormatError(f"malformed header {lines[0]!r}")
-    q, n, m = (int(part) for part in header)
+    try:
+        q, n, m = (int(part) for part in header)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise CodeFormatError(f"malformed header {lines[0]!r}") from exc
     if not 2 <= q <= MAX_TEXT_ALPHABET:
         raise CodeFormatError(f"alphabet size {q} outside 2..{MAX_TEXT_ALPHABET}")
     if m < 1:

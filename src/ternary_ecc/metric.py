@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import correction_capability  # re-exported; bounds imports no module of ours
 from .core import Code, Word, _check_compatible
 
 INF = math.inf
@@ -103,13 +104,6 @@ def dist_b(u: Word, v: Word) -> int:
 def min_dist_b(code: Code) -> int:
     """Minimum pairwise dist_b of a code; requires at least two codewords."""
     return code._min_count("b")
-
-
-def correction_capability(dbmin: int) -> int:
-    """Guaranteed correction radius floor((dbmin - 1) / 2) under dist_a decoding."""
-    if dbmin < 1:
-        raise ValueError(f"minimum distance must be >= 1, got {dbmin}")
-    return (dbmin - 1) // 2
 
 
 def pmax(n: int, tol: float = 1e-12) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
+from .bounds import correction_capability
 from .construct import ConstructionPlan, build_code
 from .core import Code, Word, _at_least, hamming_weight
 from .library import single_parity_check, zero_code
@@ -285,13 +286,17 @@ def _orbit_masks(
     symbols: Sequence[tuple[int, ...]],
     chosen: Sequence[tuple[int, ...]],
 ) -> dict[int, int]:
-    """Group candidates into orbits of the symmetry subgroup fixing the chosen words.
+    """Group candidates into orbits of a subgroup of the stabilizer of the chosen words.
 
-    A coordinate permutation must match whole columns of the chosen words, and
-    a swap of the non-zero symbols is available only on all-zero columns, so
-    two candidates are interchangeable exactly when their per-column tags
-    agree as multisets. Binary words hold no 2, so for them the swap never
-    applies. Maps each candidate to the bitmask of its orbit.
+    The subgroup holds the coordinate permutations that match whole columns of
+    the chosen words, with swaps of the non-zero symbols on all-zero columns
+    only; two candidates share an orbit of it exactly when their per-column
+    tags agree as multisets. The full stabilizer can be larger: it may also
+    exchange two columns that are 1<->2 images of each other, such as (1, 2)
+    and (2, 1) over two chosen words, while swapping the non-zero symbols on
+    both. A class may therefore be a strict part of a stabilizer orbit, which
+    prunes less but stays sound. Binary words hold no 2, so for them the swap
+    never applies. Maps each candidate to the bitmask of its class.
     """
     n = len(symbols[0]) if symbols else 0
     columns = tuple(tuple(row[i] for row in chosen) for i in range(n))
@@ -645,6 +650,7 @@ def search_code(
         raise ValueError(f"unknown mode {mode!r}")
     if algo not in ("exact", "greedy"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    correction_capability(dbmin)  # refuses dbmin < 1
     if mode == "unrestricted":
         graph = build_unrestricted_graph(n, dbmin, wmin, wmax, max_vertices)
     else:

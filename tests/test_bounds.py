@@ -47,6 +47,11 @@ class TestSphereVolumeMin:
             for r in range(n + 1):
                 assert sphere_volume_min(n, r) == sphere_volume_exact(n, n, r)
 
+    def test_equals_recursion_past_twice_the_length(self):
+        for n in range(0, 9):
+            for r in range(2 * n + 4):
+                assert sphere_volume_min(n, r) == sphere_volume_exact(n, n, r)
+
     def test_volume_monotone_in_center_weight(self):
         for n in range(1, 9):
             for w in range(n):
@@ -71,6 +76,13 @@ class TestSpherePackingBound:
         # 3^8 / 9 divides exactly; the general case floors
         assert 3**8 % sphere_volume_min(8, 1) == 0
         assert sphere_packing_bound(4, 3) == 81 // sphere_volume_min(4, 1)
+
+    def test_one_word_past_twice_the_length(self):
+        # no two words are further apart than dist_b 2n; from d = 4n + 5 on
+        # the radius exceeds 2n + 1
+        for n in range(1, 9):
+            for d in range(2 * n + 1, 4 * n + 7):
+                assert sphere_packing_bound(n, d) == 1
 
     def test_domain(self):
         with pytest.raises(ValueError):

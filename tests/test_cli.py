@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 import ternary_ecc
 from ternary_ecc.cli import main
 from ternary_ecc.core import load_code, save_code
+from ternary_ecc.decode import DECODER_KINDS
 from ternary_ecc.library import (
     nonlinear_5_4_3,
     repetition,
@@ -375,6 +377,14 @@ class TestErrorPaths:
         assert main(["search", "--n", "5", "--d", "3", "--mode", "unrestricted"]) == 1
         assert "time limit" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
+    def test_search_refuses_distance_below_one(self, capsys, mode):
+        for d in ("0", "-2"):
+            assert main(["search", "--n", "3", "--d", d, "--mode", mode]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err) == {"error": f"minimum distance must be >= 1, got {d}"}
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["mindist", "--code", str(tmp_path / "nope.code")]) == 1
 
@@ -414,9 +424,21 @@ class TestErrorPaths:
             assert "error" in json.loads(capsys.readouterr().err)
 
 
-def _heavy_modules(tmp_path, argv: list[str]) -> tuple[int, list[str]]:
+def _run_fresh(tmp_path, args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with these arguments on the package under test."""
+    src = str(Path(ternary_ecc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _loaded_modules(tmp_path, argv: list[str]) -> tuple[int, set[str]]:
     """Run the CLI (or, without arguments, only the package import) in a fresh
-    interpreter; return its exit status and which of numpy and scipy it loaded."""
+    interpreter; return its exit status and which of numpy, scipy and the
+    ternary_ecc submodules (by their short names) it loaded."""
     probe = (
         "import contextlib, io, sys\n"
         "import ternary_ecc\n"
@@ -425,21 +447,59 @@ def _heavy_modules(tmp_path, argv: list[str]) -> tuple[int, list[str]]:
         "    from ternary_ecc.cli import main\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        status = main(sys.argv[1:])\n"
-        "print(status, *sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "ours = [m.split('.')[1] for m in sys.modules if m.startswith('ternary_ecc.')]\n"
+        "print(status, *sorted({'numpy', 'scipy'} & set(sys.modules)), *ours)\n"
     )
-    src = str(Path(ternary_ecc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _run_fresh(tmp_path, ["-c", probe, *argv])
     assert done.returncode == 0, done.stderr
-    status, *heavy = done.stdout.split()
-    return int(status), heavy
+    status, *loaded = done.stdout.split()
+    return int(status), set(loaded)
+
+
+_HEAVY = {"numpy", "scipy"}
 
 
 class TestImportFootprint:
+    def test_each_command_loads_only_its_modules(self, tmp_path, optimal_code_file):
+        code = str(optimal_code_file)
+        coding = {"search", "codec", "decode", "construct"}
+        avoided = [
+            ([], None),  # the bare package import loads no submodule
+            (["bound", "--table", "--n-list", "8,16", "--d-list", "2,4,8"],
+             coding | {"channel", "core", "metric"}),
+            (["pmax", "--n", "3"], coding | {"channel"}),
+            (["mindist", "--code", code], coding | {"channel"}),
+            (["verify", "--code", code, "--d", "3"], coding | {"channel"}),
+            (["capacity", "--p", "0.2"], coding),
+        ]
+        for argv, unwanted in avoided:
+            status, loaded = _loaded_modules(tmp_path, argv)
+            assert status == 0, argv
+            if unwanted is None:
+                assert loaded == set()
+            else:
+                assert "cli" in loaded and not loaded & unwanted, (argv, loaded)
+
+    def test_run_as_a_module_without_warnings(self, tmp_path):
+        # runpy warns when the package import has loaded cli already
+        done = _run_fresh(tmp_path, ["-W", "error", "-m", "ternary_ecc.cli", "pmax", "--n", "3"])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0.5527864045\n", "")
+
+    def test_package_names_are_their_modules_objects(self):
+        assert set(ternary_ecc.__all__) <= set(dir(ternary_ecc))
+        for name in ternary_ecc.__all__:
+            module = importlib.import_module(f"ternary_ecc.{ternary_ecc._EXPORTS[name]}")
+            assert getattr(ternary_ecc, name) is getattr(module, name), name
+        assert ternary_ecc.search is importlib.import_module("ternary_ecc.search")
+        with pytest.raises(AttributeError):
+            getattr(ternary_ecc, "no_such_name")
+
+    def test_decoder_choices_are_the_decoders(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--help"])
+        assert info.value.code == 0
+        assert f"--decoder {{{','.join(DECODER_KINDS)}}}" in capsys.readouterr().out
+
     def test_non_search_commands_load_neither(self, tmp_path, optimal_code_file, plan_files):
         base = plan_files.parent
         bits = tmp_path / "m.bits"
@@ -465,7 +525,8 @@ class TestImportFootprint:
              "--out", str(tmp_path / "m.out")],
         ]
         for argv in commands:
-            assert _heavy_modules(tmp_path, argv) == (0, []), argv
+            status, loaded = _loaded_modules(tmp_path, argv)
+            assert status == 0 and not loaded & _HEAVY, argv
 
     def test_searches_without_escalation_load_neither(self, tmp_path):
         commands = [
@@ -475,4 +536,5 @@ class TestImportFootprint:
              "--algo", "greedy", "--seed", "1"],
         ]
         for argv in commands:
-            assert _heavy_modules(tmp_path, argv) == (0, []), argv
+            status, loaded = _loaded_modules(tmp_path, argv)
+            assert status == 0 and not loaded & _HEAVY, argv

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import ternary_ecc.bounds
 from ternary_ecc.channel import ChannelSpec, transition_prob
 from ternary_ecc.core import Word, all_words, hamming_distance, hamming_weight
 from ternary_ecc.library import ternary_5_27_3
@@ -182,6 +183,9 @@ class TestCorrectionCapability:
     def test_domain(self):
         with pytest.raises(ValueError):
             correction_capability(0)
+
+    def test_is_the_bounds_function(self):
+        assert correction_capability is ternary_ecc.bounds.correction_capability
 
 
 class TestPmax:

@@ -16,6 +16,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from ternary_ecc.codec import MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
     Code,
+    CodeFormatError,
     ErasureDecodeError,
     Word,
     load_code,
@@ -136,6 +137,68 @@ def test_code_file_round_trip(case):
     save_code(code, buffer)
     buffer.seek(0)
     assert load_code(buffer) == code
+
+
+# A run of digits long enough that int() refuses to convert it (Python >= 3.11).
+_LONG_DIGITS = st.integers(4301, 4400).map(lambda k: "1" * k)
+# Characters a code file must not hold: non-ASCII digits and letters, and ASCII
+# non-digits.
+_FOREIGN = st.one_of(
+    st.sampled_from("١٢³²߁๓\u00a0\ufeff"),
+    st.characters(min_codepoint=128),
+    st.characters(max_codepoint=127).filter(lambda ch: not ch.isdigit()),
+)
+
+
+@st.composite
+def mutated_code_file(draw):
+    """The text of a valid code file after one to three random edits, with
+    "\n" or "\r\n" line endings."""
+    code, _ = draw(code_and_word())
+    buffer = io.StringIO()
+    save_code(code, buffer)
+    lines = buffer.getvalue().split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "truncate", "header", "character")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "header":
+            fields = lines[0].split(" ")
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(st.one_of(st.text("0123456789", max_size=6), _LONG_DIGITS))
+            lines[0] = " ".join(fields)
+        else:
+            line = lines[i]
+            k = draw(st.integers(0, len(line)))
+            keep = draw(st.booleans())  # insert the character, or overwrite one
+            lines[i] = line[:k] + draw(_FOREIGN) + line[k + (0 if keep else 1):]
+    separator = draw(st.sampled_from(("\n", "\r\n")))
+    return separator.join(lines) + draw(st.sampled_from(("", separator)))
+
+
+@SETTINGS
+@hypothesis.given(mutated_code_file())
+def test_mutated_code_files_parse_or_raise_format_error(tmp_path_factory, text):
+    # from a stream the text arrives as is; from a path, as UTF-8 bytes read
+    # with universal newlines
+    path = tmp_path_factory.mktemp("mutated") / "c.code"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (io.StringIO(text), path):
+        try:
+            code = load_code(source)
+        except CodeFormatError:
+            continue
+        buffer = io.StringIO()
+        save_code(code, buffer)
+        buffer.seek(0)
+        assert load_code(buffer) == code
 
 
 @pytest.fixture(scope="module", params=["plan_5_21_3", "plan_8_241_4", "mini_plan"])
