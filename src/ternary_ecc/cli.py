@@ -107,6 +107,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     from .bounds import sphere_packing_bound
 
     if args.table:
+        missing = [
+            flag
+            for flag, text in (("--n-list", args.n_list), ("--d-list", args.d_list))
+            if not text
+        ]
+        if missing:
+            raise ValueError(f"bound --table needs {' and '.join(missing)}")
         n_list = [int(x) for x in args.n_list.split(",")]
         d_list = [int(x) for x in args.d_list.split(",")]
         print("d," + ",".join(str(n) for n in n_list))

@@ -258,9 +258,6 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
 # Greedy pass that seeds the exact solver's incumbent; fixed for determinism.
 _SEED_ITERATIONS = 24
 
-# Transposition entries kept per exact search before insertion stops.
-_MEMO_CAP = 4_000_000
-
 # Clique depth up to which orbit grouping is attempted.
 _ORBIT_DEPTH = 5
 
@@ -281,42 +278,70 @@ class _NodeCapReached(Exception):
     """The combinatorial search exceeded its node budget."""
 
 
+def _symbol_masks(symbols: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Entry [i][s] is the bitmask of the vertices whose word reads s at coordinate i."""
+    n = len(symbols[0]) if symbols else 0
+    return [
+        tuple(_mask_of([sym[i] == s for sym in symbols]) for s in range(3))
+        for i in range(n)
+    ]
+
+
+_SWAP = (0, 2, 1)
+
+
 def _orbit_masks(
     pending: int,
-    symbols: Sequence[tuple[int, ...]],
+    symbol_masks: Sequence[tuple[int, int, int]],
     chosen: Sequence[tuple[int, ...]],
-) -> dict[int, int]:
-    """Group candidates into orbits of a subgroup of the stabilizer of the chosen words.
+) -> list[int]:
+    """Partition the candidates in pending into orbits of the stabilizer of the chosen words.
 
-    The subgroup holds the coordinate permutations that match whole columns of
-    the chosen words, with swaps of the non-zero symbols on all-zero columns
-    only; two candidates share an orbit of it exactly when their per-column
-    tags agree as multisets. The full stabilizer can be larger: it may also
-    exchange two columns that are 1<->2 images of each other, such as (1, 2)
-    and (2, 1) over two chosen words, while swapping the non-zero symbols on
-    both. A class may therefore be a strict part of a stabilizer orbit, which
-    prunes less but stays sound. Binary words hold no 2, so for them the swap
-    never applies. Maps each candidate to the bitmask of its class.
+    The word symmetries are the coordinate permutations combined with
+    per-coordinate swaps sigma of the symbols 1 and 2; the stabilizer holds
+    those that fix every chosen word. It maps a column of the chosen words
+    onto another exactly when the two are equal up to sigma, so each column is
+    oriented like the smaller of (column, sigma column), and columns of equal
+    orientation form one class. Two candidates then share an orbit exactly
+    when, in every class, as many of their oriented symbols read 1 and as many
+    read 2; the all-zero class, which sigma fixes, counts non-zero symbols
+    instead. That equals comparing the tags min((c, s), (sigma c, sigma s)) as
+    multisets. Each count is bit-sliced over pending with a ripple add, and
+    every count plane refines the partition. Binary words hold no 2, so for
+    them only the all-zero class swaps. Returns the classes as bitmasks.
     """
-    n = len(symbols[0]) if symbols else 0
-    columns = tuple(tuple(row[i] for row in chosen) for i in range(n))
-    free = tuple(not any(col) for col in columns)
-    groups: dict[tuple, int] = {}
-    members = []
-    mask = pending
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        sym = symbols[v]
-        tag = sorted(
-            (columns[i], 1 if free[i] and sym[i] == 2 else sym[i])
-            for i in range(n)
-        )
-        key = tuple(tag)
-        groups[key] = groups.get(key, 0) | low
-        members.append((v, key))
-    return {v: groups[key] for v, key in members}
+    tallies: dict[tuple, list[int]] = {}
+    for i, (_, ones, twos) in enumerate(symbol_masks):
+        column = tuple(word[i] for word in chosen)
+        flipped = tuple(_SWAP[s] for s in column)
+        if flipped == column:
+            tallies.setdefault((column, 0), []).append(ones | twos)
+            continue
+        if flipped < column:
+            column, ones, twos = flipped, twos, ones
+        tallies.setdefault((column, 1), []).append(ones)
+        tallies.setdefault((column, 2), []).append(twos)
+    classes = [pending]
+    for masks in tallies.values():
+        planes: list[int] = []
+        for mask in masks:
+            carry = mask & pending
+            for k, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[k], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        for plane in planes:
+            refined = []
+            for cls in classes:
+                inside = cls & plane
+                if inside and inside != cls:
+                    refined += (inside, cls ^ inside)
+                else:
+                    refined.append(cls)
+            classes = refined
+    return classes
 
 
 def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
@@ -396,16 +421,17 @@ def _branch_and_bound(
     bounds each prefix of the coloring, and only vertices whose prefix bound
     exceeds the incumbent gap are branched, last color first. With unit
     weights a vertex about to open a color above the gap is first recolored
-    into a lower class (Tomita-style). A memo maps candidate sets to proven
-    bounds. The start clique seeds the incumbent and is returned unless
-    beaten.
+    into a lower class (Tomita-style). No memo of candidate sets is kept: on
+    these graphs an exact repeat is rare. The start clique seeds the
+    incumbent and is returned unless beaten.
 
     A branched vertex is then eliminated from its node's candidates. With
     symbols the graph must be word-symmetric, and near the root the whole
-    orbit of the vertex under the stabilizer of the growing clique goes with
-    it, which keeps every candidate set invariant under that stabilizer; a
-    subtree whose node drops back to per-vertex elimination stays plain.
-    Raises _NodeCapReached once _NODE_CAP nodes are spent.
+    orbit of the vertex under the full stabilizer of the growing clique goes
+    with it (see _orbit_masks), which keeps every candidate set invariant
+    under that stabilizer; a subtree whose node drops back to per-vertex
+    elimination stays plain. Raises _NodeCapReached once _NODE_CAP nodes are
+    spent.
     """
     v_count = len(adj)
     best_weight = start_weight
@@ -413,9 +439,7 @@ def _branch_and_bound(
     recolor = all(w == 1 for w in weights)
     node_cap = _NODE_CAP
     nodes = 0
-    # candidate set -> proven upper bound on the extra weight reachable inside it;
-    # bounds certified on a node's normal return stay valid graph-wide
-    memo: dict[int, int] = {}
+    symbol_masks = _symbol_masks(symbols) if symbols is not None else None
 
     def expand(
         clique_mask: int,
@@ -432,9 +456,6 @@ def _branch_and_bound(
             if clique_weight > best_weight:
                 best_weight = clique_weight
                 best_mask = clique_mask
-            return
-        known = memo.get(candidates)
-        if known is not None and clique_weight + known <= best_weight:
             return
         gap = best_weight - clique_weight
         classes: list[int] = []
@@ -502,14 +523,13 @@ def _branch_and_bound(
                     branch_bound.append(bound)
         # stabilizers are large only near the root; deeper nodes would pay the
         # grouping cost for all-singleton orbits
-        orbit_of = (
-            _orbit_masks(candidates, symbols, chosen)
+        orbits = (
+            _orbit_masks(candidates, symbol_masks, chosen)
             if chosen is not None
             and len(chosen) < _ORBIT_DEPTH
             and candidates.bit_count() > 16
             else None
         )
-        full_set = candidates
         for i in range(len(branch_v) - 1, -1, -1):
             if clique_weight + branch_bound[i] <= best_weight:
                 break
@@ -521,22 +541,17 @@ def _branch_and_bound(
                 clique_mask | bit,
                 clique_weight + weights[v],
                 candidates & adj[v],
-                chosen + (symbols[v],) if orbit_of else None,
+                chosen + (symbols[v],) if orbits else None,
             )
-            candidates &= ~orbit_of[v] if orbit_of else ~bit
-        if len(memo) < _MEMO_CAP:
-            reachable = best_weight - clique_weight
-            prior = memo.get(full_set)
-            if prior is None or reachable < prior:
-                memo[full_set] = reachable
+            candidates &= ~next(c for c in orbits if c & bit) if orbits else ~bit
 
     try:
         expand(0, 0, (1 << v_count) - 1, None if symbols is None else ())
         return best_weight, best_mask
     finally:
         # expand reaches itself through its closure cell; unbinding it breaks
-        # that cycle, so memo and the other captured state are freed on return
-        # instead of surviving until the next full garbage collection
+        # that cycle, so the captured state is freed on return instead of
+        # surviving until the next full garbage collection
         del expand
 
 
@@ -644,12 +659,15 @@ def search_code(
 
     Unrestricted cliques are codes already; restricted cliques become codes by
     attaching an optimal inner code to every outer codeword. The materialized
-    code is re-verified against dbmin before being returned.
+    code is re-verified against dbmin before being returned. Lengths and
+    distances below 1 are refused with ValueError.
     """
     if mode not in ("unrestricted", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
     if algo not in ("exact", "greedy"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
     correction_capability(dbmin)  # refuses dbmin < 1
     if mode == "unrestricted":
         graph = build_unrestricted_graph(n, dbmin, wmin, wmax, max_vertices)

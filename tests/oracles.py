@@ -254,6 +254,29 @@ def greedy_clique_reference(
     return CliqueResult(chosen, best_weight, exact=False, seed=seed, iterations=iterations)
 
 
+def orbit_classes_reference(pending: int, words, chosen) -> list[int]:
+    """Candidates in pending grouped by their multiset of canonical column tags.
+
+    With c column i of the chosen words and s the candidate's symbol there,
+    the tag is min((c, s), (sigma c, sigma s)), where sigma swaps 1 and 2 in
+    every entry. Two candidates share an orbit of the stabilizer of the
+    chosen words exactly when their sorted tag lists are equal. Returns one
+    bitmask per class.
+    """
+    swap = (0, 2, 1)
+    n = len(words[0]) if words else 0
+    columns = [tuple(word[i] for word in chosen) for i in range(n)]
+    flipped = [tuple(swap[s] for s in column) for column in columns]
+    groups: dict[tuple, int] = {}
+    for v in _iter_bits(pending):
+        key = tuple(sorted(
+            min((columns[i], words[v][i]), (flipped[i], swap[words[v][i]]))
+            for i in range(n)
+        ))
+        groups[key] = groups.get(key, 0) | 1 << v
+    return list(groups.values())
+
+
 def scan_reference(code: Code, measure) -> DecodeResult:
     """decode's codebook scan as it was before bit slicing: one measure call
     per codeword in sorted order, keeping every minimizer."""

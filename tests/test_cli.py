@@ -385,6 +385,27 @@ class TestErrorPaths:
             assert out == ""
             assert json.loads(err) == {"error": f"minimum distance must be >= 1, got {d}"}
 
+    @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
+    def test_search_refuses_length_below_one(self, capsys, mode):
+        assert main(["search", "--n", "0", "--d", "1", "--mode", mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "length must be >= 1, got 0"}
+
+    @pytest.mark.parametrize(
+        "lists, missing",
+        [
+            ([], "--n-list and --d-list"),
+            (["--n-list", "8,16"], "--d-list"),
+            (["--d-list", "2,4"], "--n-list"),
+        ],
+    )
+    def test_bound_table_names_missing_lists(self, capsys, lists, missing):
+        assert main(["bound", "--table", *lists]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": f"bound --table needs {missing}"}
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["mindist", "--code", str(tmp_path / "nope.code")]) == 1
 

@@ -1,11 +1,13 @@
 """Property tests: the bit-sliced codebook scan against the linear-scan and
 pairwise oracles, and the code file round trip, over random small codes; the
-stream codec's block path against its pre-table version, over three plans."""
+stream codec's block path against its pre-table version, over three plans;
+the exact search's bit-sliced orbit classes against canonical column tags."""
 
 from __future__ import annotations
 
 import io
 import math
+import random
 from itertools import product
 
 import pytest
@@ -25,6 +27,7 @@ from ternary_ecc.core import (
 )
 from ternary_ecc.decode import decode_da, decode_ml
 from ternary_ecc.metric import min_dist_b
+from ternary_ecc.search import _orbit_masks, _symbol_masks
 
 from oracles import (
     decode_block_trace_reference,
@@ -35,6 +38,7 @@ from oracles import (
     min_dist_b_reference,
     min_hamming_distance_reference,
     nearest_reference,
+    orbit_classes_reference,
 )
 
 SETTINGS = hypothesis.settings(
@@ -290,3 +294,28 @@ def test_encode_block_matches_reference(stream_codec, message):
     assert stream.drained
     # the padding rule: the message, a single 1, then zeros
     assert read == message + (1,) + (0,) * (len(read) - len(message) - 1)
+
+
+@st.composite
+def orbit_case(draw):
+    """All q-ary words of length n, up to four chosen ones (the kernel groups
+    candidates only below clique size 5), and a non-empty pending set."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 6))
+    words = list(product(range(q), repeat=n))
+    chosen = draw(st.lists(st.sampled_from(words), max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.02, 1.0))
+    pending = 1 << rng.randrange(len(words))
+    for v in range(len(words)):
+        if rng.random() < density:
+            pending |= 1 << v
+    return words, chosen, pending
+
+
+@SETTINGS
+@hypothesis.given(orbit_case())
+def test_orbit_classes_match_reference(case):
+    words, chosen, pending = case
+    classes = _orbit_masks(pending, _symbol_masks(words), chosen)
+    assert sorted(classes) == sorted(orbit_classes_reference(pending, words, chosen))

@@ -28,6 +28,7 @@ from oracles import (
     brute_max_clique,
     brute_max_weight_clique,
     greedy_clique_reference,
+    orbit_classes_reference,
     pairwise_dist_b_masks,
 )
 
@@ -35,8 +36,7 @@ from oracles import (
 def word_group(q: int, n: int):
     """The words of length n in lexicographic order, and every coordinate
     permutation combined with every set of per-coordinate 1<->2 swaps (on
-    ternary words only), each as (image index of every word, swapped
-    coordinates)."""
+    ternary words only), each as the tuple of image indexes of the words."""
     words = list(product(range(q), repeat=n))
     index = {w: i for i, w in enumerate(words)}
     swap = (0, 2, 1)
@@ -48,7 +48,7 @@ def word_group(q: int, n: int):
                 index[tuple(swap[w[p]] if t else w[p] for p, t in zip(perm, swapped))]
                 for w in words
             )
-            group.append((image, [i for i, t in enumerate(swapped) if t]))
+            group.append(image)
     return words, group
 
 
@@ -294,7 +294,7 @@ class TestExact:
             assert greedy.total_weight <= exact_clique(graph).total_weight
 
     def test_search_leaves_no_reference_cycles(self):
-        # the kernel's recursive closure must not keep its memo alive until a
+        # the kernel's recursive closure must not keep its state alive until a
         # full collection; warm up first so that imports and memos are settled
         cells = [
             (5, 2, "unrestricted"),
@@ -352,6 +352,18 @@ class TestExact:
         result = exact_clique(graph)
         assert result.exact and result.total_weight == expected
         assert calls == [0]
+
+    @pytest.mark.parametrize("n, dbmin, cap, size", [(5, 4, 2_000, 17), (6, 6, 150, 12)])
+    def test_orbit_classes_settle_cells_within_node_budget(
+        self, monkeypatch, n, dbmin, cap, size
+    ):
+        # classes of the full stabilizer settle these cells in 1,381 and 101
+        # nodes; column-matching classes alone needed 2,426 and 228
+        calls = self._spy_on_milp(monkeypatch)
+        monkeypatch.setattr(search, "_NODE_CAP", cap)
+        code, result = search_code(n, dbmin, "unrestricted")
+        assert result.exact and result.total_weight == code.size == size
+        assert calls == []
 
     def test_word_symmetry_needs_weights_by_hamming_weight(self):
         # orbit elimination is sound only if the symmetries keep vertex weights
@@ -444,33 +456,34 @@ class TestExact:
         "q, n", [(3, n) for n in range(1, 5)] + [(2, n) for n in range(1, 6)]
     )
     def test_orbit_masks_match_brute_force_stabilizer(self, q, n):
-        # each orbit must lie inside an orbit of the group elements fixing
-        # every chosen word, and equal the orbit under the documented
-        # subgroup: those elements that swap only all-zero columns
+        # the classes partition the pending set, and each one equals the orbit
+        # of its members under the group elements fixing every chosen word,
+        # cut to the pending set; the canonical-tag oracle gives the same
         words, group = word_group(q, n)
+        symbol_masks = search._symbol_masks(words)
         rng = random.Random(10 * q + n)
         for chosen_count in range(5):
             for _ in range(4):
                 chosen = [rng.randrange(len(words)) for _ in range(chosen_count)]
-                free = [all(words[c][i] == 0 for c in chosen) for i in range(n)]
                 stabilizer = [
-                    (image, swapped)
-                    for image, swapped in group
-                    if all(image[c] == c for c in chosen)
+                    image for image in group if all(image[c] == c for c in chosen)
                 ]
-                pending = rng.getrandbits(len(words))
+                pending = rng.getrandbits(len(words)) | 1 << rng.randrange(len(words))
                 pending_set = set(search._iter_bits(pending))
-                orbit_of = search._orbit_masks(pending, words, [words[c] for c in chosen])
-                assert set(orbit_of) == pending_set
-                for v, mask in orbit_of.items():
+                chosen_words = [words[c] for c in chosen]
+                classes = search._orbit_masks(pending, symbol_masks, chosen_words)
+                assert all(classes)
+                assert sum(c.bit_count() for c in classes) == len(pending_set)
+                union = 0
+                for mask in classes:
+                    union |= mask
+                assert union == pending
+                for mask in classes:
                     members = set(search._iter_bits(mask))
-                    assert members <= {image[v] for image, _ in stabilizer}
-                    documented = {
-                        image[v]
-                        for image, swapped in stabilizer
-                        if all(free[i] for i in swapped)
-                    }
-                    assert members == documented & pending_set
+                    v = min(members)
+                    assert members == {image[v] for image in stabilizer} & pending_set
+                reference = orbit_classes_reference(pending, words, chosen_words)
+                assert sorted(classes) == sorted(reference)
 
 
 class TestGoldenValues:
@@ -531,6 +544,12 @@ class TestSearchCode:
         assert code.size == result.total_weight
         assert min_dist_b(code) >= 4 if code.size >= 2 else True
         assert outer_weights  # expansion touched at least one weight class
+
+    @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
+    def test_rejects_length_below_one(self, mode):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"length must be >= 1, got {n}"):
+                search_code(n, 1, mode)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
