@@ -91,10 +91,14 @@ def transmit(spec: ChannelSpec, x: Word, rng: int | random.Random) -> Word:
         raise ValueError(f"word alphabet {x.q} differs from channel alphabet {spec.q}")
     if isinstance(rng, int):
         rng = random.Random(rng)
+    return Word(spec.q, _draw_symbols(spec, x.symbols, rng.random))
+
+
+def _draw_symbols(spec: ChannelSpec, symbols: tuple[int, ...], draw) -> tuple[int, ...]:
+    """The received symbols for these sent ones, one draw() per symbol in order."""
     rows = _cumulative_rows(spec)
     last = spec.q - 1
-    draw = rng.random
-    return Word(spec.q, tuple(min(bisect_right(rows[s], draw()), last) for s in x.symbols))
+    return tuple(min(bisect_right(rows[s], draw()), last) for s in symbols)
 
 
 def entropy_trits(t: float) -> float:

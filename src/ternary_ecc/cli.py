@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -348,7 +349,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader went away: leave quietly, with the status of a SIGPIPE death,
+        # and let the interpreter's last flush go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         return _fail(str(exc))
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .channel import ChannelSpec, split_seed, transmit
+from .channel import ChannelSpec, _draw_symbols, split_seed
 from .core import Code, Word, _least_count
 from .metric import INF, _check_ml, _ml_cost
 
 DECODER_KINDS = ("da", "ml")
+_DECISION_CAP = 1 << 16  # decisions simulate keeps per call
 
 
 @dataclass(frozen=True)
@@ -102,27 +103,43 @@ def simulate(
     """Send uniform random codewords, decode, and count exact-word recoveries.
 
     Every trial derives its own child seed, so the totals do not depend on how
-    trials might be split across workers.
+    trials might be split across workers. A decision depends on the received
+    word alone, so each distinct received word is decoded once per call; up
+    to _DECISION_CAP decisions are kept, and later new words are decoded
+    every time they arrive.
     """
     if decoder not in DECODER_KINDS:
         raise ValueError(f"unknown decoder {decoder!r}, expected one of {DECODER_KINDS}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if code.q != spec.q:
         raise ValueError("code and channel alphabets differ")
-    words = code.sorted_words()
+    words = [word.symbols for word in code.sorted_words()]
+    # received symbols -> symbols of the chosen codeword, None when undecodable
+    decisions: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    rng = random.Random()
     errors = 0
     undecodable = 0
     for t in range(trials):
-        rng = random.Random(split_seed(seed, t))
+        rng.seed(split_seed(seed, t))
         sent = words[rng.randrange(len(words))]
-        received = transmit(spec, sent, rng)
-        if decoder == "da":
-            result = decode_da(code, received)
-        else:
-            result = decode_ml(code, received, spec.p)
-        if result.undecodable:
+        received = _draw_symbols(spec, sent, rng.random)
+        try:
+            chosen = decisions[received]
+        except KeyError:
+            word = Word(spec.q, received)
+            if decoder == "da":
+                result = decode_da(code, word)
+            else:
+                result = decode_ml(code, word, spec.p)
+            chosen = None if result.undecodable else result.chosen.symbols
+            if len(decisions) < _DECISION_CAP:
+                decisions[received] = chosen
+        if chosen is None:
             undecodable += 1
-        elif result.chosen != sent:
+        elif chosen != sent:
             errors += 1
     return SimReport(trials, errors, undecodable, spec.p, decoder, seed)

@@ -10,6 +10,7 @@ import math
 import random
 from itertools import product
 
+from ternary_ecc.channel import ChannelSpec, split_seed, transmit
 from ternary_ecc.codec import (
     BlockDecodeError,
     BlockTrace,
@@ -30,7 +31,13 @@ from ternary_ecc.core import (
     hamming_distance,
     hamming_weight,
 )
-from ternary_ecc.decode import DecodeResult
+from ternary_ecc.decode import (
+    DECODER_KINDS,
+    DecodeResult,
+    SimReport,
+    decode_da,
+    decode_ml,
+)
 from ternary_ecc.metric import INF, dist_a, dist_b, dist_ml
 from ternary_ecc.search import CliqueResult, SearchGraph
 
@@ -302,6 +309,39 @@ def decode_da_reference(code: Code, received: Word) -> DecodeResult:
 
 def decode_ml_reference(code: Code, received: Word, p: float) -> DecodeResult:
     return scan_reference(code, lambda w: dist_ml(w, received, p))
+
+
+def simulate_reference(
+    code: Code,
+    spec: ChannelSpec,
+    decoder: str,
+    trials: int,
+    seed: int,
+) -> SimReport:
+    """decode.simulate as it was before decisions were kept: every trial
+    samples through transmit and runs a full decoder scan."""
+    if decoder not in DECODER_KINDS:
+        raise ValueError(f"unknown decoder {decoder!r}, expected one of {DECODER_KINDS}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if code.q != spec.q:
+        raise ValueError("code and channel alphabets differ")
+    words = code.sorted_words()
+    errors = 0
+    undecodable = 0
+    for t in range(trials):
+        rng = random.Random(split_seed(seed, t))
+        sent = words[rng.randrange(len(words))]
+        received = transmit(spec, sent, rng)
+        if decoder == "da":
+            result = decode_da(code, received)
+        else:
+            result = decode_ml(code, received, spec.p)
+        if result.undecodable:
+            undecodable += 1
+        elif result.chosen != sent:
+            errors += 1
+    return SimReport(trials, errors, undecodable, spec.p, decoder, seed)
 
 
 def nearest_reference(code: Code, received: Word) -> Word:

@@ -406,6 +406,24 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err) == {"error": f"bound --table needs {missing}"}
 
+    # unbuffered, the first write fails inside the command; buffered, the
+    # flush after it does
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = _fresh_env()
+        env["PYTHONUNBUFFERED"] = unbuffered
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ternary_ecc.cli", "pmax", "--n", "3"],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["mindist", "--code", str(tmp_path / "nope.code")]) == 1
 
@@ -445,14 +463,19 @@ class TestErrorPaths:
             assert "error" in json.loads(capsys.readouterr().err)
 
 
-def _run_fresh(tmp_path, args: list[str]) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with these arguments on the package under test."""
+def _fresh_env() -> dict[str, str]:
+    """The environment with the package under test first on the import path."""
     src = str(Path(ternary_ecc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_fresh(tmp_path, args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with these arguments on the package under test."""
     return subprocess.run(
         [sys.executable, *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True, timeout=120,
     )
 
 

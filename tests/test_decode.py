@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ternary_ecc.channel import ChannelSpec
+from ternary_ecc import decode
+from ternary_ecc.channel import ChannelSpec, split_seed, transmit
 from ternary_ecc.core import Code, Word, all_words
 from ternary_ecc.decode import DecodeResult, decode_da, decode_ml, simulate
 from ternary_ecc.metric import INF, correction_capability, dist_a, min_dist_b, pmax
@@ -170,6 +171,42 @@ class TestSimulate:
     def test_rejects_unknown_decoder(self, code_5_27_3):
         with pytest.raises(ValueError):
             simulate(code_5_27_3, ChannelSpec(3, 0.1), "nearest", 10, seed=0)
+
+    def test_rejects_non_integer_seed(self, code_5_27_3):
+        # a float seed would make split_seed round many trials to one stream
+        with pytest.raises(ValueError, match="seed"):
+            simulate(code_5_27_3, ChannelSpec(3, 0.3), "da", 1000, seed=1.5)
+
+    @pytest.mark.parametrize("trials", [True, 2.0])
+    def test_rejects_non_integer_trials(self, code_5_27_3, trials):
+        with pytest.raises(ValueError, match="trials"):
+            simulate(code_5_27_3, ChannelSpec(3, 0.3), "da", trials, seed=1)
+
+    @pytest.mark.parametrize("decoder", ["da", "ml"])
+    def test_decodes_each_distinct_received_word_once(self, code_5_27_3, monkeypatch, decoder):
+        spec, trials, seed = ChannelSpec(3, 0.3), 400, 11
+        words = code_5_27_3.sorted_words()
+        distinct = set()
+        for t in range(trials):
+            rng = random.Random(split_seed(seed, t))
+            distinct.add(transmit(spec, words[rng.randrange(len(words))], rng))
+        name = f"decode_{decoder}"
+        original = getattr(decode, name)
+        decoded = []
+
+        def counting(code, received, *args):
+            decoded.append(received)
+            return original(code, received, *args)
+
+        monkeypatch.setattr(decode, name, counting)
+        report = simulate(code_5_27_3, spec, decoder, trials, seed)
+        assert len(decoded) == len(set(decoded)) == len(distinct) < trials
+        assert set(decoded) == distinct
+        # with no room for decisions, every trial decodes, and the counts hold
+        decoded.clear()
+        monkeypatch.setattr(decode, "_DECISION_CAP", 0)
+        assert simulate(code_5_27_3, spec, decoder, trials, seed) == report
+        assert len(decoded) == trials
 
     # Counts at the commit that made the decoders bit-sliced: a change to a
     # channel draw or to a decoder's tie-break moves at least one of them.

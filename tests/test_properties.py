@@ -1,7 +1,8 @@
 """Property tests: the bit-sliced codebook scan against the linear-scan and
 pairwise oracles, and the code file round trip, over random small codes; the
 stream codec's block path against its pre-table version, over three plans;
-the exact search's bit-sliced orbit classes against canonical column tags."""
+the exact search's bit-sliced orbit classes against canonical column tags;
+simulate's kept decisions against its per-trial loop."""
 
 from __future__ import annotations
 
@@ -9,12 +10,15 @@ import io
 import math
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from ternary_ecc import decode
+from ternary_ecc.channel import ChannelSpec
 from ternary_ecc.codec import MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
     Code,
@@ -39,6 +43,7 @@ from oracles import (
     min_hamming_distance_reference,
     nearest_reference,
     orbit_classes_reference,
+    simulate_reference,
 )
 
 SETTINGS = hypothesis.settings(
@@ -319,3 +324,35 @@ def test_orbit_classes_match_reference(case):
     words, chosen, pending = case
     classes = _orbit_masks(pending, _symbol_masks(words), chosen)
     assert sorted(classes) == sorted(orbit_classes_reference(pending, words, chosen))
+
+
+@st.composite
+def simulate_case(draw):
+    """A code of 1 to 32 words with q in {3, 4} and n in 1..6, a channel at
+    one of the ML_P values, a decoder, 1 to 300 trials and a seed."""
+    q = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(1, 6))
+    symbol = st.integers(0, q - 1)
+    words = draw(st.sets(st.tuples(*[symbol] * n), min_size=1, max_size=32))
+    code = Code(q, n, frozenset(Word(q, w) for w in words))
+    spec = ChannelSpec(q, draw(st.sampled_from(ML_P)))
+    decoder = draw(st.sampled_from(decode.DECODER_KINDS))
+    return code, spec, decoder, draw(st.integers(1, 300)), draw(st.integers(-(2**64), 2**64))
+
+
+def _simulate_outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:  # decode_ml refuses q = 4
+        return ("ValueError", str(exc))
+
+
+@SETTINGS
+@hypothesis.given(simulate_case())
+def test_simulate_matches_reference(case):
+    reference = _simulate_outcome(simulate_reference, *case)
+    assert _simulate_outcome(decode.simulate, *case) == reference
+    # keeping no decision, or one, changes no count
+    for cap in (0, 1):
+        with mock.patch.object(decode, "_DECISION_CAP", cap):
+            assert _simulate_outcome(decode.simulate, *case) == reference
