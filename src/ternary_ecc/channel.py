@@ -17,6 +17,7 @@ from itertools import accumulate
 from .core import Word
 
 LOG3_2 = math.log(2) / math.log(3)
+_CAPACITY_TOL = 1e-12  # width at which the capacity_numeric search stops
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def mutual_information_joint(spec: ChannelSpec, dist: tuple[float, ...]) -> floa
     return total
 
 
-def capacity_numeric(spec: ChannelSpec, tol: float = 1e-12) -> CapacityResult:
+def capacity_numeric(spec: ChannelSpec) -> CapacityResult:
     """Capacity by golden-section search over p0; works for every q and every valid p.
 
     The objective is concave in p0, so the unimodal search is safe.
@@ -193,7 +194,7 @@ def capacity_numeric(spec: ChannelSpec, tol: float = 1e-12) -> CapacityResult:
     a = hi - inv_phi * (hi - lo)
     b = lo + inv_phi * (hi - lo)
     fa, fb = objective(a), objective(b)
-    while hi - lo > tol:
+    while hi - lo > _CAPACITY_TOL:
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + inv_phi * (hi - lo)

@@ -104,6 +104,19 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digits(value: int) -> str:
+    """str(value) past the interpreter's int-to-str digit limit, where it has one:
+    the limit guards parsing untrusted text, not printing a computed number."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_bound(args: argparse.Namespace) -> int:
     from .bounds import sphere_packing_bound
 
@@ -119,12 +132,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         d_list = [int(x) for x in args.d_list.split(",")]
         print("d," + ",".join(str(n) for n in n_list))
         for d in d_list:
-            cells = [str(sphere_packing_bound(n, d)) for n in n_list]
+            cells = [_digits(sphere_packing_bound(n, d)) for n in n_list]
             print(f"{d}," + ",".join(cells))
         return 0
     if args.n is None or args.d is None:
         raise ValueError("bound needs --n and --d (or --table with lists)")
-    print(sphere_packing_bound(args.n, args.d))
+    print(_digits(sphere_packing_bound(args.n, args.d)))
     return 0
 
 

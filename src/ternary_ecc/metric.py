@@ -21,6 +21,7 @@ from .bounds import correction_capability  # re-exported; bounds imports no modu
 from .core import Code, Word, _check_compatible
 
 INF = math.inf
+_PMAX_TOL = 1e-12  # width at which the pmax bisection stops
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def min_dist_b(code: Code) -> int:
     return code._min_count("b")
 
 
-def pmax(n: int, tol: float = 1e-12) -> float:
+def pmax(n: int) -> float:
     """Largest p for which dist_a decoding is maximum likelihood at length n.
 
     For n <= 2 the threshold is 2/3. Otherwise it is the unique root in
@@ -123,7 +124,7 @@ def pmax(n: int, tol: float = 1e-12) -> float:
         return (p / 2.0) / (1.0 - p) - ((1.0 - p) / (1.0 - p / 2.0)) ** exponent
 
     lo, hi = 0.0, 2.0 / 3.0
-    while hi - lo > tol:
+    while hi - lo > _PMAX_TOL:
         mid = (lo + hi) / 2.0
         if gap(mid) < 0.0:
             lo = mid

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, combinations, product
 from typing import Callable, Sequence
 
 from .bounds import correction_capability
@@ -21,12 +21,8 @@ from .core import Code, Word, _at_least, hamming_weight
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
-DEFAULT_MAX_VERTICES = 20_000
-DEFAULT_MAX_EDGES = 2_000_000
-
-
 class BudgetExceededError(RuntimeError):
-    """The requested graph or search is larger than the configured budget."""
+    """The requested graph or search is larger than its budget."""
 
 
 @dataclass(frozen=True)
@@ -89,64 +85,49 @@ def _dist_b_masks(
     return tuple(rows)
 
 
-def _window_words(q: int, n: int, wmin: int, wmax: int) -> list[Word]:
-    """Every q-ary word of length n with Hamming weight in [wmin, wmax], in
-    sorted order."""
-    return [
-        Word(q, symbols)
-        for symbols in product(range(q), repeat=n)
-        if wmin <= n - symbols.count(0) <= wmax
-    ]
-
-
-def _check_window(n: int, wmin: int, wmax: int | None) -> int:
+def _window_graph(
+    q: int, n: int, dbmin: int, wmin: int, wmax: int | None, weight_of: Callable[[int], int]
+) -> SearchGraph:
+    """Graph over every q-ary word of length n with Hamming weight in [wmin, wmax]
+    (wmax None: n), in sorted order, joined at dist_b >= dbmin; a vertex weighs
+    weight_of(its Hamming weight). The vertex count is summed only until it
+    passes _MAX_VERTICES, which refuses the graph with BudgetExceededError.
+    Each weight class is laid out from its supports, so a narrow window of a
+    long length never walks the whole space."""
     if wmax is None:
         wmax = n
     if not 0 <= wmin <= wmax <= n:
         raise ValueError(f"weight window [{wmin}, {wmax}] invalid for length {n}")
-    return wmax
+    sizes = (math.comb(n, w) * (q - 1) ** w for w in range(wmin, wmax + 1))
+    if any(total > _MAX_VERTICES for total in accumulate(sizes)):
+        raise BudgetExceededError(f"the graph exceeds the cap of {_MAX_VERTICES} vertices")
+    rows = sorted(
+        (symbols, weight_of(w))
+        for w in range(wmin, wmax + 1)
+        for support in combinations(range(n), w)
+        for symbols in product(*(range(1, q) if i in support else (0,) for i in range(n)))
+    )
+    words = tuple(Word(q, symbols) for symbols, _ in rows)
+    masks = _dist_b_masks(words, max(dbmin, 1))
+    return SearchGraph(words, tuple(w for _, w in rows), masks, dbmin, word_symmetry=True)
 
 
 def build_unrestricted_graph(
-    n: int,
-    dbmin: int,
-    wmin: int = 0,
-    wmax: int | None = None,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    n: int, dbmin: int, wmin: int = 0, wmax: int | None = None
 ) -> SearchGraph:
     """Graph over all ternary words with weight in [wmin, wmax]."""
-    wmax = _check_window(n, wmin, wmax)
-    count = sum(math.comb(n, w) * (1 << w) for w in range(wmin, wmax + 1))
-    if count > max_vertices:
-        raise BudgetExceededError(f"{count} vertices exceed the cap {max_vertices}")
-    words = _window_words(3, n, wmin, wmax)
-    masks = _dist_b_masks(words, max(dbmin, 1))
-    return SearchGraph(tuple(words), (1,) * len(words), masks, dbmin, word_symmetry=True)
+    return _window_graph(3, n, dbmin, wmin, wmax, lambda _: 1)
 
 
 def build_restricted_graph(
-    n: int,
-    dbmin: int,
-    wmin: int = 0,
-    wmax: int | None = None,
-    weight_oracle: Callable[[int], int] | None = None,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    n: int, dbmin: int, wmin: int = 0, wmax: int | None = None
 ) -> SearchGraph:
     """Weighted graph over binary outer words; vertex weight is the size of the
     best inner code (minimum Hamming distance ceil(dbmin / 2)) for that weight."""
-    wmax = _check_window(n, wmin, wmax)
     inner_dist = math.ceil(dbmin / 2)
-    if weight_oracle is None:
-        weight_oracle = lambda length: optimal_binary_code_size(length, inner_dist)
-    count = sum(math.comb(n, w) for w in range(wmin, wmax + 1))
-    if count > max_vertices:
-        raise BudgetExceededError(f"{count} vertices exceed the cap {max_vertices}")
-    words = _window_words(2, n, wmin, wmax)
-    weights = tuple(weight_oracle(sum(w.symbols)) for w in words)
-    if any(weight < 1 for weight in weights):
-        raise ValueError("vertex weights must be >= 1")
-    masks = _dist_b_masks(words, max(dbmin, 1))
-    return SearchGraph(tuple(words), weights, masks, dbmin, word_symmetry=True)
+    return _window_graph(
+        2, n, dbmin, wmin, wmax, lambda w: optimal_binary_code_size(w, inner_dist)
+    )
 
 
 def _iter_bits(mask: int):
@@ -263,6 +244,11 @@ _ORBIT_DEPTH = 5
 
 # Candidate-set size from which sphere-cover coloring is worth its scan cost.
 _BALL_MIN = 48
+
+# Largest graph any search builds, in vertices, and the most edges exact_clique
+# takes on; past either the search is refused.
+_MAX_VERTICES = 20_000
+_MAX_EDGES = 2_000_000
 
 # Branch-and-bound node limit of every exact search; past it the search
 # escalates to the integer-programming formulation.
@@ -555,7 +541,7 @@ def _branch_and_bound(
         del expand
 
 
-def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> CliqueResult:
+def exact_clique(graph: SearchGraph) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
     A deterministic greedy pass seeds the incumbent of one _branch_and_bound
@@ -564,11 +550,12 @@ def exact_clique(graph: SearchGraph, max_edges: int = DEFAULT_MAX_EDGES) -> Cliq
     color classes; such a graph must weight its vertices by Hamming weight
     alone (ValueError otherwise). Past _NODE_CAP nodes the search escalates
     to the integer program, with the balls as rows where there are any, and
-    past _MILP_TIME_LIMIT seconds that raises BudgetExceededError.
+    past _MILP_TIME_LIMIT seconds that raises BudgetExceededError, as does a
+    graph of more than _MAX_EDGES edges.
     """
     edges = graph.edge_count()
-    if edges > max_edges:
-        raise BudgetExceededError(f"{edges} edges exceed the budget {max_edges}")
+    if edges > _MAX_EDGES:
+        raise BudgetExceededError(f"{edges} edges exceed the budget {_MAX_EDGES}")
     symbols = balls = None
     if graph.word_symmetry:
         by_weight: dict[int, int] = {}
@@ -637,9 +624,7 @@ def optimal_binary_code_size(length: int, min_dist: int) -> int:
 
 
 def _binary_hamming_graph(n: int, min_dist: int) -> SearchGraph:
-    words = _window_words(2, n, 0, n)
-    masks = _dist_b_masks(words, min_dist)
-    return SearchGraph(tuple(words), (1,) * len(words), masks, min_dist, word_symmetry=True)
+    return _window_graph(2, n, min_dist, 0, n, lambda _: 1)
 
 
 def search_code(
@@ -652,8 +637,6 @@ def search_code(
     algo: str = "exact",
     seed: int = 0,
     iterations: int = 100,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> tuple[Code, CliqueResult]:
     """Run a search and materialize the winning clique as a ternary code.
 
@@ -670,11 +653,11 @@ def search_code(
         raise ValueError(f"length must be >= 1, got {n}")
     correction_capability(dbmin)  # refuses dbmin < 1
     if mode == "unrestricted":
-        graph = build_unrestricted_graph(n, dbmin, wmin, wmax, max_vertices)
+        graph = build_unrestricted_graph(n, dbmin, wmin, wmax)
     else:
-        graph = build_restricted_graph(n, dbmin, wmin, wmax, None, max_vertices)
+        graph = build_restricted_graph(n, dbmin, wmin, wmax)
     if algo == "exact":
-        result = exact_clique(graph, max_edges)
+        result = exact_clique(graph)
     else:
         result = greedy_clique(graph, seed, iterations)
     if mode == "unrestricted":

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ternary_ecc
+from ternary_ecc.bounds import sphere_packing_bound
 from ternary_ecc.cli import main
 from ternary_ecc.core import load_code, save_code
 from ternary_ecc.decode import DECODER_KINDS
@@ -56,6 +57,20 @@ class TestScalarCommands:
     def test_bound(self, capsys):
         assert main(["bound", "--n", "8", "--d", "4"]) == 0
         assert capsys.readouterr().out.strip() == "729"
+
+    def test_bound_beyond_the_digit_limit(self, capsys):
+        # the bound for 9100 symbols has more digits than the interpreter's
+        # default int-to-str limit (4300); the limit is back in place after
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["bound", "--n", "9100", "--d", "3"]) == 0
+        digits = capsys.readouterr().out.strip()
+        assert digits.isdigit() and len(digits) > 4300
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == sphere_packing_bound(9100, 3)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_bound_table(self, capsys):
         assert main(["bound", "--table", "--n-list", "8,16", "--d-list", "2,4,8"]) == 0
@@ -376,6 +391,15 @@ class TestErrorPaths:
         monkeypatch.setattr(ternary_ecc.search, "_MILP_TIME_LIMIT", 1e-3)
         assert main(["search", "--n", "5", "--d", "3", "--mode", "unrestricted"]) == 1
         assert "time limit" in json.loads(capsys.readouterr().err)["error"]
+
+    # 3^10 = 59,049 ternary words, and 2^30000 binary outer words, whose count
+    # is not summed past the cap
+    @pytest.mark.parametrize("n, d, mode", [(10, 2, "unrestricted"), (30000, 3, "restricted")])
+    def test_search_refuses_graphs_over_the_vertex_cap(self, capsys, n, d, mode):
+        assert main(["search", "--n", str(n), "--d", str(d), "--mode", mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "the graph exceeds the cap of 20000 vertices"}
 
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_search_refuses_distance_below_one(self, capsys, mode):

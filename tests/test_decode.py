@@ -103,17 +103,23 @@ class TestDecodeMl:
             assert decode_ml(code_5_27_3, word, 0.2).chosen == word
 
     def test_agreement_below_threshold(self):
-        n = 4
-        p = 0.9 * pmax(n)
+        # the paper's claim, ties included: for 0 < p < pmax(n) every ML
+        # minimizer is a d_A minimizer, and both rules give up on the same words
         rng = random.Random(99)
-        space = list(all_words(3, n))
-        for _ in range(10):
-            code = Code.from_words(rng.sample(space, 8))
-            for y in space:
-                da = decode_da(code, y)
-                ml = decode_ml(code, y, p)
-                if len(da.minimizers) == 1 and len(ml.minimizers) == 1:
-                    assert da.chosen == ml.chosen
+        ties_broken = 0
+        for n in range(1, 6):
+            space = list(all_words(3, n))
+            ps = [fraction * pmax(n) for fraction in (0.01, 0.3, 0.9, 0.999)]
+            for _ in range(25):
+                code = Code.from_words(rng.sample(space, rng.randint(1, min(len(space), 27))))
+                for y in space:
+                    da = decode_da(code, y)
+                    for p in ps:
+                        ml = decode_ml(code, y, p)
+                        assert ml.undecodable == da.undecodable
+                        assert ml.minimizers <= da.minimizers
+                        ties_broken += len(ml.minimizers) < len(da.minimizers)
+        assert ties_broken > 0
 
 
 @pytest.mark.parametrize("name", ["code_5_27_3", "code_5_21_3", "code_8_241_4"])

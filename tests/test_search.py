@@ -81,10 +81,22 @@ class TestGraphBuilders:
         graph = build_unrestricted_graph(4, 2, wmin=4, wmax=4)
         assert len(graph.vertices) == 16
         assert all(0 not in w.symbols for w in graph.vertices)
+        graph = build_unrestricted_graph(5, 3, wmin=1, wmax=3)
+        expected = [s for s in product(range(3), repeat=5) if 1 <= 5 - s.count(0) <= 3]
+        assert [w.symbols for w in graph.vertices] == expected
+        # a narrow window of a long length is laid out without walking 3^30 words
+        graph = build_unrestricted_graph(30, 3, wmax=1)
+        assert len(graph.vertices) == 61
 
-    def test_vertex_cap(self):
-        with pytest.raises(BudgetExceededError):
-            build_unrestricted_graph(9, 2, max_vertices=1000)
+    def test_vertex_cap(self, monkeypatch):
+        # the count stops at the cap: 2^30000 outer words are refused at once,
+        # in a message that names the cap and not the count
+        with pytest.raises(BudgetExceededError, match="cap of 20000 vertices") as info:
+            build_restricted_graph(30000, 3)
+        assert len(str(info.value)) < 100
+        monkeypatch.setattr(search, "_MAX_VERTICES", 1000)
+        with pytest.raises(BudgetExceededError, match="cap of 1000 vertices"):
+            build_unrestricted_graph(9, 2)
 
     def test_adjacency_matches_metric(self):
         graph = build_unrestricted_graph(3, 3)
@@ -114,7 +126,7 @@ class TestGraphBuilders:
         if mode == "unrestricted":
             graph = build_unrestricted_graph(n, dbmin, wmin, wmax)
         elif mode == "restricted":
-            graph = build_restricted_graph(n, dbmin, wmin, wmax, lambda length: 1)
+            graph = build_restricted_graph(n, dbmin, wmin, wmax)
         else:
             graph = _binary_hamming_graph(n, dbmin)
         words = graph.vertices
@@ -313,10 +325,11 @@ class TestExact:
         finally:
             gc.enable()
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         graph = build_unrestricted_graph(4, 2)
-        with pytest.raises(BudgetExceededError):
-            exact_clique(graph, max_edges=10)
+        monkeypatch.setattr(search, "_MAX_EDGES", 10)
+        with pytest.raises(BudgetExceededError, match="exceed the budget 10"):
+            exact_clique(graph)
 
     @staticmethod
     def _spy_on_milp(monkeypatch) -> list[int]:
@@ -387,15 +400,12 @@ class TestExact:
 
     def test_symmetry_pruning_matches_plain_search(self):
         # orbit elimination must agree with per-vertex elimination on ternary
-        # words, on binary outer words with unit and with inner-code weights,
-        # and on the binary Hamming graphs behind the inner codes
+        # words, on binary outer words with inner-code weights, and on the
+        # binary Hamming graphs behind the inner codes, which are also the
+        # outer-word graphs with unit weights
         graphs = [build_unrestricted_graph(n, d) for n in (2, 3, 4) for d in (2, 3, 4)]
-        graphs += [
-            build_restricted_graph(n, d, weight_oracle=lambda _: 1)
-            for n in (3, 4, 5, 6)
-            for d in (2, 3, 4)
-        ]
         graphs += [build_restricted_graph(n, d) for n in range(3, 8) for d in range(2, 6)]
+        graphs += [_binary_hamming_graph(n, 2) for n in (3, 4, 5, 6)]
         # A(8, 3) is left out: it exhausts the node budget and the integer
         # program takes minutes
         graphs += [
@@ -444,9 +454,18 @@ class TestExact:
                 assert graph.adj[a] >> b & 1
 
     def test_symmetry_pruning_on_weight_windows(self):
-        # weight windows stay closed under the word symmetries
-        for wmin, wmax, dbmin in ((2, 5, 4), (0, 3, 3), (3, 5, 5)):
-            graph = build_unrestricted_graph(5, dbmin, wmin=wmin, wmax=wmax)
+        # weight windows stay closed under the word symmetries, for ternary
+        # words and for binary outer words weighted by inner-code size
+        graphs = [
+            build_unrestricted_graph(5, dbmin, wmin=wmin, wmax=wmax)
+            for wmin, wmax, dbmin in ((2, 5, 4), (0, 3, 3), (3, 5, 5))
+        ]
+        restricted = {(5, 3, 1, 4): 16, (6, 4, 1, 5): 25, (7, 4, 3, 7): 92, (7, 5, 1, 5): 6}
+        for (n, dbmin, wmin, wmax), size in restricted.items():
+            graph = build_restricted_graph(n, dbmin, wmin=wmin, wmax=wmax)
+            assert exact_clique(graph).total_weight == size
+            graphs.append(graph)
+        for graph in graphs:
             plain = replace(graph, word_symmetry=False)
             assert (
                 exact_clique(graph).total_weight == exact_clique(plain).total_weight
