@@ -236,17 +236,14 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
     return CliqueResult(chosen, best_weight, exact=False, seed=seed, iterations=iterations)
 
 
-# Greedy pass that seeds the exact solver's incumbent; fixed for determinism.
-_SEED_ITERATIONS = 24
-
 # Clique depth up to which orbit grouping is attempted.
 _ORBIT_DEPTH = 5
 
 # Candidate-set size from which sphere-cover coloring is worth its scan cost.
 _BALL_MIN = 48
 
-# Largest graph any search builds, in vertices, and the most edges exact_clique
-# takes on; past either the search is refused.
+# Largest graph any search builds, in vertices (and largest restricted code, in
+# words), and the most edges exact_clique takes on; past any of them it refuses.
 _MAX_VERTICES = 20_000
 _MAX_EDGES = 2_000_000
 
@@ -394,8 +391,6 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
 def _branch_and_bound(
     adj: Sequence[int],
     weights: Sequence[int],
-    start_weight: int,
-    start_mask: int,
     symbols: Sequence[tuple[int, ...]] | None = None,
     balls: Sequence[int] | None = None,
 ) -> tuple[int, int]:
@@ -408,8 +403,9 @@ def _branch_and_bound(
     exceeds the incumbent gap are branched, last color first. With unit
     weights a vertex about to open a color above the gap is first recolored
     into a lower class (Tomita-style). No memo of candidate sets is kept: on
-    these graphs an exact repeat is rare. The start clique seeds the
-    incumbent and is returned unless beaten.
+    these graphs an exact repeat is rare. The incumbent starts as the empty
+    clique, so the first dive from the root sets the first real one. Candidates
+    colored one per class form a clique and are taken whole, not one level each.
 
     A branched vertex is then eliminated from its node's candidates. With
     symbols the graph must be word-symmetric, and near the root the whole
@@ -420,8 +416,7 @@ def _branch_and_bound(
     spent.
     """
     v_count = len(adj)
-    best_weight = start_weight
-    best_mask = start_mask
+    best_weight = best_mask = 0
     recolor = all(w == 1 for w in weights)
     node_cap = _NODE_CAP
     nodes = 0
@@ -438,11 +433,6 @@ def _branch_and_bound(
         nodes += 1
         if nodes > node_cap:
             raise _NodeCapReached
-        if candidates == 0:
-            if clique_weight > best_weight:
-                best_weight = clique_weight
-                best_mask = clique_mask
-            return
         gap = best_weight - clique_weight
         classes: list[int] = []
         remaining = candidates
@@ -498,6 +488,12 @@ def _branch_and_bound(
                 if not class_mask:
                     continue
             classes.append(class_mask)
+        if len(classes) == candidates.bit_count():
+            # one candidate per class, none moved: each was adjacent to all later ones
+            weight = clique_weight + sum(map(weights.__getitem__, _iter_bits(candidates)))
+            if weight > best_weight:
+                best_weight, best_mask = weight, clique_mask | candidates
+            return
         branch_v: list[int] = []
         branch_bound: list[int] = []
         bound = 0
@@ -507,6 +503,8 @@ def _branch_and_bound(
                 for v in _iter_bits(class_mask):
                     branch_v.append(v)
                     branch_bound.append(bound)
+        # the branch lists are all the recursion needs: drop the classes for deep dives
+        del classes
         # stabilizers are large only near the root; deeper nodes would pay the
         # grouping cost for all-singleton orbits
         orbits = (
@@ -544,14 +542,14 @@ def _branch_and_bound(
 def exact_clique(graph: SearchGraph) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
-    A deterministic greedy pass seeds the incumbent of one _branch_and_bound
-    root call in vertex order. A word-symmetric graph lends it the vertex
-    words for orbit elimination and, once dbmin >= 3, radius-t_A balls as
-    color classes; such a graph must weight its vertices by Hamming weight
-    alone (ValueError otherwise). Past _NODE_CAP nodes the search escalates
-    to the integer program, with the balls as rows where there are any, and
-    past _MILP_TIME_LIMIT seconds that raises BudgetExceededError, as does a
-    graph of more than _MAX_EDGES edges.
+    One _branch_and_bound root call in vertex order, from the empty clique.
+    A word-symmetric graph lends it the vertex words for orbit elimination
+    and, once dbmin >= 3, radius-t_A balls as color classes; such a graph
+    must weight its vertices by Hamming weight alone (ValueError otherwise).
+    Past _NODE_CAP nodes the search escalates to the integer program, with
+    the balls as rows where there are any, and past _MILP_TIME_LIMIT seconds
+    that raises BudgetExceededError, as does a graph of more than _MAX_EDGES
+    edges.
     """
     edges = graph.edge_count()
     if edges > _MAX_EDGES:
@@ -571,15 +569,8 @@ def exact_clique(graph: SearchGraph) -> CliqueResult:
         radius = (graph.dbmin - 1) // 2
         if radius >= 1:
             balls = _dist_b_masks(graph.vertices, 0, radius)
-    seed_result = greedy_clique(graph, seed=0, iterations=_SEED_ITERATIONS)
-    vertex_index = {w: i for i, w in enumerate(graph.vertices)}
-    seed_mask = 0
-    for member in seed_result.members:
-        seed_mask |= 1 << vertex_index[member]
     try:
-        weight, mask = _branch_and_bound(
-            graph.adj, graph.weights, seed_result.total_weight, seed_mask, symbols, balls
-        )
+        weight, mask = _branch_and_bound(graph.adj, graph.weights, symbols, balls)
     except _NodeCapReached:
         weight, mask = _exact_milp(graph, balls or ())
     members = tuple(sorted(graph.vertices[v] for v in _iter_bits(mask)))
@@ -619,7 +610,10 @@ def optimal_binary_code(length: int, min_dist: int) -> Code:
 
 
 def optimal_binary_code_size(length: int, min_dist: int) -> int:
-    """Size of the best binary code of this length and minimum distance."""
+    """Size of the best binary code of this length and minimum distance; where
+    optimal_binary_code has a closed form, the size needs no code built."""
+    if length >= 0 and (1 <= min_dist <= 2 or min_dist > length):
+        return 2 ** max(length - min_dist + 1, 0)
     return optimal_binary_code(length, min_dist).size
 
 
@@ -663,6 +657,8 @@ def search_code(
     if mode == "unrestricted":
         code = Code(3, n, frozenset(result.members))
     else:
+        if result.total_weight > _MAX_VERTICES:  # the weight may outgrow str()
+            raise BudgetExceededError(f"the code exceeds the cap of {_MAX_VERTICES} words")
         inner_dist = math.ceil(dbmin / 2)
         outer = Code(2, n, frozenset(result.members))
         needed = {sum(w.symbols) for w in result.members}

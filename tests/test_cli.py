@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -287,7 +288,7 @@ class TestSearchCommand:
             ),
             (
                 "--n 5 --d 3 --mode restricted",
-                '{"exact": true, "members": ["00011", "01100", "10000", "11111"], "size": 21}',
+                '{"exact": true, "members": ["00001", "01100", "10010", "11111"], "size": 21}',
             ),
             (
                 "--n 4 --d 3 --mode unrestricted --algo greedy --seed 1",
@@ -400,6 +401,21 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "the graph exceeds the cap of 20000 vertices"}
+
+    def test_search_refuses_restricted_code_over_the_cap(self, capsys, monkeypatch):
+        # the one outer word of weight 40 weighs 2^39 words; were the even-weight
+        # inner code written out, the guard would fail the test before memory ran out
+        def refuse(*args):
+            raise AssertionError("an inner code was built")
+
+        monkeypatch.setattr(ternary_ecc.search, "optimal_binary_code", refuse)
+        start = time.perf_counter()
+        argv = ["search", "--n", "40", "--d", "3", "--mode", "restricted", "--wmin", "40"]
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "the code exceeds the cap of 20000 words"}
 
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_search_refuses_distance_below_one(self, capsys, mode):

@@ -52,6 +52,10 @@ def word_group(q: int, n: int):
     return words, group
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError(f"unexpected call with {args}")
+
+
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
     """Arbitrary graph over dummy words, for solver-only tests."""
     words = [Word(3, (v % 3, v // 3 % 3, v // 9 % 3, v // 27 % 3)) for v in range(v_count)]
@@ -160,6 +164,18 @@ class TestOptimalBinaryCodes:
         for length in range(1, 9):
             assert optimal_binary_code_size(length, 2) == max(1, 2 ** (length - 1))
 
+    def test_closed_form_sizes_build_no_code(self, monkeypatch):
+        # sizes at distances 1 and 2, and past the length, match the codes
+        # optimal_binary_code writes out, and come without building one
+        cells = [(length, dist) for length in range(9) for dist in (1, 2, length + 1)]
+        codes = {cell: optimal_binary_code(*cell) for cell in cells}
+        monkeypatch.setattr(search, "optimal_binary_code", _refuse)
+        for (length, dist), code in codes.items():
+            assert optimal_binary_code_size(length, dist) == code.size
+        assert optimal_binary_code_size(40, 1) == 2**40
+        assert optimal_binary_code_size(40, 2) == 2**39
+        assert optimal_binary_code_size(40, 41) == 1
+
     def test_clique_backed_sizes(self):
         assert optimal_binary_code_size(7, 3) == 16
         assert optimal_binary_code_size(7, 4) == 8
@@ -175,11 +191,11 @@ class TestOptimalBinaryCodes:
         # these searches take the orbital path over the binary Hamming graph
         # and decide the inner codes that restricted search writes out
         pinned = {
-            (6, 3): "000110 001101 010011 011000 100000 101011 110101 111110",
+            (6, 3): "000111 001001 010000 011110 100100 101010 110011 111101",
             (7, 3): "0000000 0001110 0010111 0011001 0100101 0101011 0110010 0111100 "
             "1000011 1001101 1010100 1011010 1100110 1101000 1110001 1111111",
-            (7, 4): "0010110 0011001 0100101 0101010 1000011 1001100 1110000 1111111",
-            (8, 5): "00111101 01100010 10001000 11010111",
+            (7, 4): "0001111 0010100 0100001 0111010 1001000 1010011 1100110 1111101",
+            (8, 5): "00000000 01101011 10110111 11011100",
         }
         for (length, dist), words in pinned.items():
             code = optimal_binary_code(length, dist)
@@ -370,13 +386,42 @@ class TestExact:
     def test_orbit_classes_settle_cells_within_node_budget(
         self, monkeypatch, n, dbmin, cap, size
     ):
-        # classes of the full stabilizer settle these cells in 1,381 and 101
-        # nodes; column-matching classes alone needed 2,426 and 228
+        # classes of the full stabilizer settle these cells in 1,731 and 100
+        # nodes; column-matching classes alone needed 2,426 and 228 (both
+        # counts with a greedy-seeded incumbent)
         calls = self._spy_on_milp(monkeypatch)
         monkeypatch.setattr(search, "_NODE_CAP", cap)
         code, result = search_code(n, dbmin, "unrestricted")
         assert result.exact and result.total_weight == code.size == size
         assert calls == []
+
+    def test_clique_of_candidates_is_taken_whole(self):
+        # 1,611 words pairwise at dist_b >= 1: one recursion level per word of
+        # the first dive would pass the interpreter's recursion limit
+        graph = build_unrestricted_graph(7, 1, wmax=5)
+        result = exact_clique(graph)
+        assert result.exact and result.total_weight == len(graph.vertices) == 1611
+
+    @pytest.mark.parametrize("n, dbmin, mode, kernel_calls", [
+        (5, 4, "unrestricted", 1),
+        # the outer graph and the inner codes A(w, 3) for w = 3..7
+        (7, 5, "restricted", 6),
+    ])
+    def test_exact_search_runs_no_greedy(self, monkeypatch, n, dbmin, mode, kernel_calls):
+        # the kernel starts from the empty clique and finds its own incumbent
+        monkeypatch.setattr(search, "_OPTIMAL_BINARY", {})
+        monkeypatch.setattr(search, "greedy_clique", _refuse)
+        calls = []
+        exact = search.exact_clique
+
+        def spy(graph):
+            calls.append(len(graph.vertices))
+            return exact(graph)
+
+        monkeypatch.setattr(search, "exact_clique", spy)
+        code, result = search_code(n, dbmin, mode)
+        assert result.exact and code.size == result.total_weight
+        assert len(calls) == kernel_calls
 
     def test_word_symmetry_needs_weights_by_hamming_weight(self):
         # orbit elimination is sound only if the symmetries keep vertex weights
@@ -563,6 +608,16 @@ class TestSearchCode:
         assert code.size == result.total_weight
         assert min_dist_b(code) >= 4 if code.size >= 2 else True
         assert outer_weights  # expansion touched at least one weight class
+
+    @pytest.mark.parametrize("algo", ["exact", "greedy"])
+    def test_refuses_restricted_code_over_the_cap(self, monkeypatch, algo):
+        # one outer word of weight 40 carries the even-weight code of 2^39
+        # words: the refusal comes before any inner code is written out
+        monkeypatch.setattr(search, "optimal_binary_code", _refuse)
+        monkeypatch.setattr(search, "build_code", _refuse)
+        with pytest.raises(BudgetExceededError) as info:
+            search_code(40, 3, "restricted", wmin=40, algo=algo, iterations=1)
+        assert str(info.value) == "the code exceeds the cap of 20000 words"
 
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_rejects_length_below_one(self, mode):
