@@ -193,9 +193,8 @@ class Code:
         """Costs of all codewords against a received word, one pass per position.
 
         "a" forbids non-zero/non-zero disagreements and counts zero-involved
-        ones; "ml" also counts matching zeros, as a second class; "b" counts
-        zero-involved disagreements once and non-zero/non-zero ones twice;
-        "hamming" counts all disagreements; "consistent" forbids them. None
+        ones; "ml" also counts matching zeros, as a second class; "hamming"
+        counts all disagreements; "consistent" forbids them. None
         positions are free. Returns the mask of finite-cost codewords and,
         per counted class, bit planes: plane k holds bit k of every
         codeword's count.
@@ -216,8 +215,6 @@ class Code:
             # (class, mask) pairs, each adding one to the counts under the mask
             if cost == "hamming":
                 counted = ((0, disagree),)
-            elif cost == "b":
-                counted = ((0, disagree), (0, clash))
             else:
                 forbidden |= clash
                 counted = ((0, zero_involved),)
@@ -234,15 +231,14 @@ class Code:
         return full & ~forbidden, planes
 
     def _min_count(self, cost: str) -> int:
-        """Least "b" or "hamming" cost between two distinct codewords: each
-        codeword is scanned against the code and the others' least count kept."""
+        """Least "b" or "hamming" cost between two distinct codewords: the
+        least count of the others in each codeword's planes."""
         words = self._codebook()[0]
         if len(words) < 2:
             raise ValueError("minimum distance needs at least two codewords")
         full = (1 << len(words)) - 1
         best = 2 * self.n
-        for j, w in enumerate(words):
-            _, (planes, _) = self._scan(w.symbols, cost)
+        for j, planes in enumerate(_pairwise_planes([w.symbols for w in words], self.q, cost)):
             best = min(best, _least_count(full ^ (1 << j), planes)[1])
             # distinct words cost at least 1 apart
             if best == 1:
@@ -303,6 +299,61 @@ def _at_least(candidates: int, planes: Sequence[int], t: int) -> int:
             above |= equal & plane
             equal &= ~plane
     return above | equal
+
+
+def _pairwise_planes(
+    rows: Sequence[tuple[int, ...]], q: int, cost: str
+) -> Iterator[list[int]]:
+    """Per row, the bit planes of its cost against every row (row j is bit j,
+    plane k holds bit k of each count): "hamming" counts disagreements, and
+    "b" (dist_b) counts non-zero/non-zero ones twice.
+
+    The rows must be distinct, sorted and of one length (ValueError
+    otherwise). The planes after a prefix depend on that prefix alone, so a
+    stack keeps them per coordinate, and each row resumes from the previous
+    row's planes at their common prefix and adds only the coordinates after it.
+    """
+    n = len(rows[0]) if rows else 0
+    full = (1 << len(rows)) - 1
+    columns = [[0] * q for _ in range(n)]
+    for j, row in enumerate(rows):
+        for column, s in zip(columns, row):
+            column[s] |= 1 << j
+    # per (coordinate, symbol): the words costing 1 there, and those costing 2
+    adds = [
+        [
+            (col[0], full ^ col[0] ^ col[b]) if b and cost == "b" else (full ^ col[b], 0)
+            for b in range(q)
+        ]
+        for col in columns
+    ]
+    # counts are at most 2n, so the planes never need to grow
+    stack = [[0] * (2 * n).bit_length()] + [[]] * n
+    prev = None
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("words must be of one length")
+        p = 0
+        if prev is not None:
+            while p < n and prev[p] == row[p]:
+                p += 1
+            if p == n or prev[p] > row[p]:
+                raise ValueError("words must be distinct and in sorted order")
+        for i in range(p, n):
+            planes = stack[i].copy()
+            ones, twos = adds[i][row[i]]
+            low = planes[0]
+            planes[0] = low ^ ones
+            carry = twos | (low & ones)  # low & ones lies in ones, apart from twos
+            k = 1
+            while carry:
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+            stack[i + 1] = planes
+        yield stack[n]
+        prev = row
 
 
 # perfbench's stream workload traces Code.nearest and Code.erasure_decode

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .bounds import correction_capability
 from .construct import ConstructionPlan, build_code
-from .core import Code, Word, _at_least, hamming_weight
+from .core import Code, Word, _at_least, _pairwise_planes, hamming_weight
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
@@ -33,7 +33,9 @@ class SearchGraph:
     sorted order, with adjacency a dist_b threshold and each vertex weight a
     function of its Hamming weight. Coordinate permutations and
     per-coordinate swaps of the non-zero symbols then act on the graph, and
-    the exact solver eliminates whole orbits and colors with metric balls.
+    the exact solver eliminates whole orbits and colors with metric balls;
+    balls then holds each vertex's radius-t_A ball (dist_b <= t_A) as a
+    bitmask row, or None below t_A = 1.
     """
 
     vertices: tuple[Word, ...]
@@ -41,6 +43,7 @@ class SearchGraph:
     adj: tuple[int, ...]
     dbmin: int
     word_symmetry: bool = False
+    balls: tuple[int, ...] | None = None
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
@@ -66,21 +69,20 @@ def _dist_b_masks(
 ) -> tuple[int, ...]:
     """Bitmask rows of the relation lo <= dist_b(u, v) <= hi over all word pairs.
 
-    The words must be distinct and sorted, as in the index of their Code, so
-    that row j and bit j are words[j]. Each row is one scan of a word against
-    that index, cut at both ends by the bit-plane threshold; hi=None leaves
-    it open above. lo >= 1 keeps every word out of its own row (adjacency)
-    and lo = 0 keeps it in (metric balls).
+    The words must be distinct and sorted, so that row j and bit j are
+    words[j]. Each row is cut from the word's count planes at both ends by
+    the bit-plane threshold; hi=None leaves it open above. lo >= 1 keeps
+    every word out of its own row (adjacency) and lo = 0 keeps it in (metric
+    balls).
     """
-    code = Code.from_words(words)
-    if code.sorted_words() != list(words):
-        raise ValueError("words must be distinct and in sorted order")
+    if not words:
+        return ()
+    full = (1 << len(words)) - 1
     rows = []
-    for word in words:
-        everyone, (planes, _) = code._scan(word.symbols, "b")
-        row = _at_least(everyone, planes, lo)
+    for planes in _pairwise_planes([w.symbols for w in words], words[0].q, "b"):
+        row = _at_least(full, planes, lo)
         if hi is not None:
-            row &= ~_at_least(everyone, planes, hi + 1)
+            row &= ~_at_least(full, planes, hi + 1)
         rows.append(row)
     return tuple(rows)
 
@@ -89,9 +91,10 @@ def _window_graph(
     q: int, n: int, dbmin: int, wmin: int, wmax: int | None, weight_of: Callable[[int], int]
 ) -> SearchGraph:
     """Graph over every q-ary word of length n with Hamming weight in [wmin, wmax]
-    (wmax None: n), in sorted order, joined at dist_b >= dbmin; a vertex weighs
-    weight_of(its Hamming weight). The vertex count is summed only until it
-    passes _MAX_VERTICES, which refuses the graph with BudgetExceededError.
+    (wmax None: n), in sorted order, joined at dist_b >= dbmin and carrying
+    its radius-t_A balls; a vertex weighs weight_of(its Hamming weight). The
+    vertex count is summed only until it passes _MAX_VERTICES, which refuses
+    the graph with BudgetExceededError.
     Each weight class is laid out from its supports, so a narrow window of a
     long length never walks the whole space."""
     if wmax is None:
@@ -107,9 +110,21 @@ def _window_graph(
         for support in combinations(range(n), w)
         for symbols in product(*(range(1, q) if i in support else (0,) for i in range(n)))
     )
+    # one pass over the count planes cuts both the adjacency and, from
+    # t_A = 1 on, the radius-t_A balls
+    lo, radius = max(dbmin, 1), (dbmin - 1) // 2
+    full = (1 << len(rows)) - 1
+    adj, balls = [], []
+    for planes in _pairwise_planes([symbols for symbols, _ in rows], q, "b"):
+        adj.append(_at_least(full, planes, lo))
+        if radius >= 1:
+            balls.append(full & ~_at_least(full, planes, radius + 1))
     words = tuple(Word(q, symbols) for symbols, _ in rows)
-    masks = _dist_b_masks(words, max(dbmin, 1))
-    return SearchGraph(words, tuple(w for _, w in rows), masks, dbmin, word_symmetry=True)
+    weights = tuple(w for _, w in rows)
+    return SearchGraph(
+        words, weights, tuple(adj), dbmin, word_symmetry=True,
+        balls=tuple(balls) if radius >= 1 else None,
+    )
 
 
 def build_unrestricted_graph(
@@ -160,6 +175,12 @@ def _kth_bit(mask: int, k: int) -> int:
     return base + (mask & -mask).bit_length() - 1
 
 
+def _non_neighbours(adj: Sequence[int]) -> list[int]:
+    """Per vertex, the mask of the other vertices not adjacent to it."""
+    full = (1 << len(adj)) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
+
+
 def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResult:
     """Randomized greedy independent-set construction on the complement graph.
 
@@ -183,9 +204,7 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     v_count = len(graph.vertices)
     full = (1 << v_count) - 1
-    complement = [
-        full & ~graph.adj[v] & ~(1 << v) for v in range(v_count)
-    ]
+    complement = _non_neighbours(graph.adj)
     weights = graph.weights
     degrees = [mask.bit_count() for mask in complement]
     start_planes = [
@@ -418,6 +437,7 @@ def _branch_and_bound(
     v_count = len(adj)
     best_weight = best_mask = 0
     recolor = all(w == 1 for w in weights)
+    non_adj = _non_neighbours(adj)
     node_cap = _NODE_CAP
     nodes = 0
     symbol_masks = _symbol_masks(symbols) if symbols is not None else None
@@ -440,8 +460,8 @@ def _branch_and_bound(
             while remaining.bit_count() >= _BALL_MIN:
                 take = 0
                 take_count = 0
-                for center in range(v_count):
-                    cover = balls[center] & remaining
+                for ball in balls:
+                    cover = ball & remaining
                     count = cover.bit_count()
                     if count > take_count:
                         take, take_count = cover, count
@@ -454,10 +474,8 @@ def _branch_and_bound(
             pool = remaining
             while pool:
                 low = pool & -pool
-                v = low.bit_length() - 1
                 class_mask |= low
-                pool &= ~low
-                pool &= ~adj[v]
+                pool &= non_adj[low.bit_length() - 1]
             remaining &= ~class_mask
             if recolor and len(classes) >= gap > 0:
                 # move each vertex into a lower class, directly or by swapping
@@ -544,7 +562,7 @@ def exact_clique(graph: SearchGraph) -> CliqueResult:
 
     One _branch_and_bound root call in vertex order, from the empty clique.
     A word-symmetric graph lends it the vertex words for orbit elimination
-    and, once dbmin >= 3, radius-t_A balls as color classes; such a graph
+    and, once dbmin >= 3, its radius-t_A balls as color classes; such a graph
     must weight its vertices by Hamming weight alone (ValueError otherwise).
     Past _NODE_CAP nodes the search escalates to the integer program, with
     the balls as rows where there are any, and past _MILP_TIME_LIMIT seconds
@@ -566,9 +584,7 @@ def exact_clique(graph: SearchGraph) -> CliqueResult:
         # radius-t_A balls are independent sets: they color the search and
         # give the integer program its rows; below dbmin = 3 they are single
         # vertices, and the integer program takes pair rows instead
-        radius = (graph.dbmin - 1) // 2
-        if radius >= 1:
-            balls = _dist_b_masks(graph.vertices, 0, radius)
+        balls = graph.balls
     try:
         weight, mask = _branch_and_bound(graph.adj, graph.weights, symbols, balls)
     except _NodeCapReached:
@@ -651,6 +667,11 @@ def search_code(
     else:
         graph = build_restricted_graph(n, dbmin, wmin, wmax)
     if algo == "exact":
+        # any clique weighs at most the maximum one, so one greedy pass over
+        # a restricted graph of ample total weight may already pass the cap
+        if mode == "restricted" and sum(graph.weights) > _MAX_VERTICES:
+            if greedy_clique(graph, 0, 1).total_weight > _MAX_VERTICES:
+                raise BudgetExceededError(f"the code exceeds the cap of {_MAX_VERTICES} words")
         result = exact_clique(graph)
     else:
         result = greedy_clique(graph, seed, iterations)

@@ -417,6 +417,16 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err) == {"error": "the code exceeds the cap of 20000 words"}
 
+    def test_search_refuses_restricted_code_over_the_cap_unsearched(self, capsys):
+        # a greedy clique of the (10, 2) outer graph already passes the cap,
+        # so the exact search, which took minutes, is not run
+        start = time.perf_counter()
+        assert main(["search", "--n", "10", "--d", "2", "--mode", "restricted"]) == 1
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "the code exceeds the cap of 20000 words"}
+
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_search_refuses_distance_below_one(self, capsys, mode):
         for d in ("0", "-2"):

@@ -31,7 +31,7 @@ from ternary_ecc.core import (
 )
 from ternary_ecc.decode import decode_da, decode_ml
 from ternary_ecc.metric import min_dist_b
-from ternary_ecc.search import _orbit_masks, _symbol_masks
+from ternary_ecc.search import _dist_b_masks, _orbit_masks, _symbol_masks
 
 from oracles import (
     decode_block_trace_reference,
@@ -43,6 +43,7 @@ from oracles import (
     min_hamming_distance_reference,
     nearest_reference,
     orbit_classes_reference,
+    pairwise_dist_b_masks,
     simulate_reference,
 )
 
@@ -324,6 +325,35 @@ def test_orbit_classes_match_reference(case):
     words, chosen, pending = case
     classes = _orbit_masks(pending, _symbol_masks(words), chosen)
     assert sorted(classes) == sorted(orbit_classes_reference(pending, words, chosen))
+
+
+@st.composite
+def sorted_words_and_cut(draw):
+    """Distinct sorted binary or ternary words of length n <= 6 (any subset,
+    so consecutive words share prefixes of every length) and a dist_b band
+    lo..hi, hi possibly open."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 6))
+    space = list(product(range(q), repeat=n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    chosen = [w for w in space if rng.random() < density] or [rng.choice(space)]
+    lo = draw(st.integers(0, 2 * n + 1))
+    hi = draw(st.one_of(st.none(), st.integers(lo, 2 * n + 1)))
+    return [Word(q, w) for w in chosen], lo, hi
+
+
+@SETTINGS
+@hypothesis.given(sorted_words_and_cut())
+def test_dist_b_rows_match_reference(case):
+    words, lo, hi = case
+    assert _dist_b_masks(words, lo, hi) == pairwise_dist_b_masks(words, lo, hi)
+    # the rows resume from the previous word's prefix, so order is checked
+    if len(words) >= 2:
+        with pytest.raises(ValueError, match="sorted order"):
+            _dist_b_masks(words[::-1], lo, hi)
+    with pytest.raises(ValueError, match="distinct"):
+        _dist_b_masks(words + words[-1:], lo, hi)
 
 
 @st.composite

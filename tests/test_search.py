@@ -140,6 +140,7 @@ class TestGraphBuilders:
         )
         assert graph.adj == expected_adj
         radius = (dbmin - 1) // 2
+        assert graph.balls == (pairwise_dist_b_masks(words, 0, radius) if radius >= 1 else None)
         assert _dist_b_masks(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
         assert _dist_b_masks(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
         # no pair is further apart than 2n, so this band leaves every row empty
@@ -422,6 +423,13 @@ class TestExact:
         code, result = search_code(n, dbmin, mode)
         assert result.exact and code.size == result.total_weight
         assert len(calls) == kernel_calls
+
+    def test_restricted_code_over_the_cap_is_refused_before_the_search(self, monkeypatch):
+        # 1,024 outer words weigh 59,049 in all; one greedy pass already
+        # passes the 20,000-word cap, so the exact search never starts
+        monkeypatch.setattr(search, "_branch_and_bound", _refuse)
+        with pytest.raises(BudgetExceededError, match="cap of 20000 words"):
+            search_code(10, 2, "restricted")
 
     def test_word_symmetry_needs_weights_by_hamming_weight(self):
         # orbit elimination is sound only if the symmetries keep vertex weights
