@@ -163,15 +163,11 @@ class Code:
         k = m.bit_length() - 1
         return k if 1 << k == m else None
 
-    def _codebook(self) -> tuple[tuple[Word, ...], tuple[tuple[int, ...], ...]]:
+    def _codebook(self) -> tuple[tuple[Word, ...], list[list[int]]]:
         """The cached index: codeword j is bit j of every mask, in sorted order."""
         if self._index is None:
             words = tuple(sorted(self.words))
-            columns = [[0] * self.q for _ in range(self.n)]
-            for j, w in enumerate(words):
-                for column, s in zip(columns, w.symbols):
-                    column[s] |= 1 << j
-            object.__setattr__(self, "_index", (words, tuple(map(tuple, columns))))
+            object.__setattr__(self, "_index", (words, _columns(words, self.q)))
         return self._index
 
     def sorted_words(self) -> list[Word]:
@@ -180,12 +176,7 @@ class Code:
     def _words_at(self, mask: int) -> list[Word]:
         """Codewords at the set bits of mask, smallest first."""
         words = self._codebook()[0]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(words[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return [words[j] for j in _iter_bits(mask)]
 
     def _scan(
         self, symbols: Sequence[int | None], cost: str
@@ -251,7 +242,7 @@ class Code:
             raise ValueError("received word does not match the code's alphabet and length")
         allowed, (planes, _) = self._scan(received.symbols, "hamming")
         best, _ = _least_count(allowed, planes)
-        return self._words_at(best & -best)[0]
+        return self._codebook()[0][(best & -best).bit_length() - 1]
 
     def erasure_decode(self, pattern: Sequence[int | None]) -> Word:
         """Unique codeword agreeing with every non-erased position of the pattern.
@@ -270,7 +261,25 @@ class Code:
             raise ErasureDecodeError(
                 f"{matches.bit_count()} codewords consistent with the unerased positions"
             )
-        return self._words_at(matches)[0]
+        return self._codebook()[0][matches.bit_length() - 1]
+
+
+def _columns(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    """The column index of q-ary rows of one length: entry [i][s] is the mask
+    of the rows that read s at coordinate i, row j being bit j."""
+    columns = [[0] * q for _ in range(len(rows[0]) if rows else 0)]
+    for j, row in enumerate(rows):
+        for column, s in zip(columns, row):
+            column[s] |= 1 << j
+    return columns
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """The indexes of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _least_count(candidates: int, planes: Sequence[int]) -> tuple[int, int]:
@@ -315,17 +324,13 @@ def _pairwise_planes(
     """
     n = len(rows[0]) if rows else 0
     full = (1 << len(rows)) - 1
-    columns = [[0] * q for _ in range(n)]
-    for j, row in enumerate(rows):
-        for column, s in zip(columns, row):
-            column[s] |= 1 << j
     # per (coordinate, symbol): the words costing 1 there, and those costing 2
     adds = [
         [
             (col[0], full ^ col[0] ^ col[b]) if b and cost == "b" else (full ^ col[b], 0)
             for b in range(q)
         ]
-        for col in columns
+        for col in _columns(rows, q)
     ]
     # counts are at most 2n, so the planes never need to grow
     stack = [[0] * (2 * n).bit_length()] + [[]] * n

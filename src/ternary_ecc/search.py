@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .bounds import correction_capability
 from .construct import ConstructionPlan, build_code
-from .core import Code, Word, _at_least, _pairwise_planes, hamming_weight
+from .core import Code, Word, _at_least, _columns, _iter_bits, _pairwise_planes, hamming_weight
 from .library import single_parity_check, zero_code
 from .metric import min_dist_b
 
@@ -62,29 +62,6 @@ class CliqueResult:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def _dist_b_masks(
-    words: Sequence[Word], lo: int, hi: int | None = None
-) -> tuple[int, ...]:
-    """Bitmask rows of the relation lo <= dist_b(u, v) <= hi over all word pairs.
-
-    The words must be distinct and sorted, so that row j and bit j are
-    words[j]. Each row is cut from the word's count planes at both ends by
-    the bit-plane threshold; hi=None leaves it open above. lo >= 1 keeps
-    every word out of its own row (adjacency) and lo = 0 keeps it in (metric
-    balls).
-    """
-    if not words:
-        return ()
-    full = (1 << len(words)) - 1
-    rows = []
-    for planes in _pairwise_planes([w.symbols for w in words], words[0].q, "b"):
-        row = _at_least(full, planes, lo)
-        if hi is not None:
-            row &= ~_at_least(full, planes, hi + 1)
-        rows.append(row)
-    return tuple(rows)
 
 
 def _window_graph(
@@ -145,13 +122,6 @@ def build_restricted_graph(
     )
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask_of(flags: Sequence[int]) -> int:
     """Bitmask with bit v set exactly when flags[v] is true; flags is non-empty."""
     return int("".join("1" if f else "0" for f in reversed(flags)), 2)
@@ -199,10 +169,19 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
     with k = rng.randrange(pool size), which draws exactly as rng.choice on
     the pool as a sorted list does, so every graph, seed and iteration count
     gives the result of recounting each active degree at every step.
+
+    A call of more than _MAX_GREEDY_VISITS vertex visits (iterations times
+    vertices) is refused with BudgetExceededError before its first pass.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     v_count = len(graph.vertices)
+    # a pass over no vertex still costs one visit
+    if iterations * max(v_count, 1) > _MAX_GREEDY_VISITS:
+        raise BudgetExceededError(
+            f"{iterations} iterations over {v_count} vertices exceed the budget"
+            f" of {_MAX_GREEDY_VISITS} vertex visits"
+        )
     full = (1 << v_count) - 1
     complement = _non_neighbours(graph.adj)
     weights = graph.weights
@@ -266,6 +245,11 @@ _BALL_MIN = 48
 _MAX_VERTICES = 20_000
 _MAX_EDGES = 2_000_000
 
+# Most vertex visits (iterations times vertices) of one greedy_clique call.
+# The CLI default of 100 iterations stays within it on any graph under the
+# vertex cap; at the budget, the 19,683-vertex graph of n=9 takes about 50 s.
+_MAX_GREEDY_VISITS = 2_000_000
+
 # Branch-and-bound node limit of every exact search; past it the search
 # escalates to the integer-programming formulation.
 _NODE_CAP = 300_000
@@ -280,21 +264,12 @@ class _NodeCapReached(Exception):
     """The combinatorial search exceeded its node budget."""
 
 
-def _symbol_masks(symbols: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """Entry [i][s] is the bitmask of the vertices whose word reads s at coordinate i."""
-    n = len(symbols[0]) if symbols else 0
-    return [
-        tuple(_mask_of([sym[i] == s for sym in symbols]) for s in range(3))
-        for i in range(n)
-    ]
-
-
 _SWAP = (0, 2, 1)
 
 
 def _orbit_masks(
     pending: int,
-    symbol_masks: Sequence[tuple[int, int, int]],
+    symbol_masks: Sequence[Sequence[int]],
     chosen: Sequence[tuple[int, ...]],
 ) -> list[int]:
     """Partition the candidates in pending into orbits of the stabilizer of the chosen words.
@@ -440,7 +415,7 @@ def _branch_and_bound(
     non_adj = _non_neighbours(adj)
     node_cap = _NODE_CAP
     nodes = 0
-    symbol_masks = _symbol_masks(symbols) if symbols is not None else None
+    symbol_masks = _columns(symbols, 3) if symbols is not None else None
 
     def expand(
         clique_mask: int,

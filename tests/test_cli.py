@@ -417,6 +417,20 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err) == {"error": "the code exceeds the cap of 20000 words"}
 
+    def test_search_refuses_greedy_over_its_visit_budget(self, capsys):
+        # 1e9 passes over 8 outer words ran for minutes before the budget
+        start = time.perf_counter()
+        argv = ["search", "--n", "3", "--d", "3", "--mode", "restricted",
+                "--algo", "greedy", "--seed", "1", "--iters", "1000000000"]
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "1000000000 iterations over 8 vertices exceed the budget"
+            " of 2000000 vertex visits"
+        }
+
     def test_search_refuses_restricted_code_over_the_cap_unsearched(self, capsys):
         # a greedy clique of the (10, 2) outer graph already passes the cap,
         # so the exact search, which took minutes, is not run

@@ -2,7 +2,8 @@
 pairwise oracles, and the code file round trip, over random small codes; the
 stream codec's block path against its pre-table version, over three plans;
 the exact search's bit-sliced orbit classes against canonical column tags;
-simulate's kept decisions against its per-trial loop."""
+simulate's kept decisions against its per-trial loop; the shared column index
+and bit walk against brute force."""
 
 from __future__ import annotations
 
@@ -25,13 +26,15 @@ from ternary_ecc.core import (
     CodeFormatError,
     ErasureDecodeError,
     Word,
+    _columns,
+    _iter_bits,
     load_code,
     min_hamming_distance,
     save_code,
 )
 from ternary_ecc.decode import decode_da, decode_ml
 from ternary_ecc.metric import min_dist_b
-from ternary_ecc.search import _dist_b_masks, _orbit_masks, _symbol_masks
+from ternary_ecc.search import _orbit_masks
 
 from oracles import (
     decode_block_trace_reference,
@@ -46,6 +49,7 @@ from oracles import (
     pairwise_dist_b_masks,
     simulate_reference,
 )
+from test_search import band_rows
 
 SETTINGS = hypothesis.settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -323,7 +327,7 @@ def orbit_case(draw):
 @hypothesis.given(orbit_case())
 def test_orbit_classes_match_reference(case):
     words, chosen, pending = case
-    classes = _orbit_masks(pending, _symbol_masks(words), chosen)
+    classes = _orbit_masks(pending, _columns(words, 3), chosen)
     assert sorted(classes) == sorted(orbit_classes_reference(pending, words, chosen))
 
 
@@ -347,13 +351,46 @@ def sorted_words_and_cut(draw):
 @hypothesis.given(sorted_words_and_cut())
 def test_dist_b_rows_match_reference(case):
     words, lo, hi = case
-    assert _dist_b_masks(words, lo, hi) == pairwise_dist_b_masks(words, lo, hi)
+    assert band_rows(words, lo, hi) == pairwise_dist_b_masks(words, lo, hi)
     # the rows resume from the previous word's prefix, so order is checked
     if len(words) >= 2:
         with pytest.raises(ValueError, match="sorted order"):
-            _dist_b_masks(words[::-1], lo, hi)
+            band_rows(words[::-1], lo, hi)
     with pytest.raises(ValueError, match="distinct"):
-        _dist_b_masks(words + words[-1:], lo, hi)
+        band_rows(words + words[-1:], lo, hi)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 2**200))
+@hypothesis.example(0)
+@hypothesis.example(2**64)
+@hypothesis.example(2**200 - 1)
+def test_iter_bits_yields_set_bits_in_order(mask):
+    bits = list(_iter_bits(mask))
+    assert bits == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@st.composite
+def column_rows(draw):
+    """q in {2, 3} and 1 to 40 q-ary rows of one length n in 0..6, repeats allowed."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, 6))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    return q, draw(st.lists(row, min_size=1, max_size=40))
+
+
+@SETTINGS
+@hypothesis.given(column_rows())
+@hypothesis.example((2, [()]))
+@hypothesis.example((3, [(2, 0, 1)]))
+def test_columns_match_brute_force(case):
+    q, rows = case
+    expected = [
+        [sum(1 << j for j, row in enumerate(rows) if row[i] == s) for s in range(q)]
+        for i in range(len(rows[0]))
+    ]
+    assert _columns(rows, q) == expected
+    assert _columns([], q) == []
 
 
 @st.composite

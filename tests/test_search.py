@@ -8,13 +8,21 @@ from itertools import combinations, permutations, product
 import pytest
 
 from ternary_ecc import search
-from ternary_ecc.core import Code, Word, hamming_weight, min_hamming_distance
+from ternary_ecc.core import (
+    Code,
+    Word,
+    _at_least,
+    _columns,
+    _iter_bits,
+    _pairwise_planes,
+    hamming_weight,
+    min_hamming_distance,
+)
 from ternary_ecc.metric import dist_b, min_dist_b
 from ternary_ecc.search import (
     BudgetExceededError,
     SearchGraph,
     _binary_hamming_graph,
-    _dist_b_masks,
     build_restricted_graph,
     build_unrestricted_graph,
     exact_clique,
@@ -54,6 +62,19 @@ def word_group(q: int, n: int):
 
 def _refuse(*args, **kwargs):
     raise AssertionError(f"unexpected call with {args}")
+
+
+def band_rows(words, lo: int, hi: int | None = None) -> tuple[int, ...]:
+    """Rows of lo <= dist_b <= hi (hi None: open) as the graph builder cuts
+    them: each word's count planes from _pairwise_planes, read by _at_least."""
+    full = (1 << len(words)) - 1
+    rows = []
+    for planes in _pairwise_planes([w.symbols for w in words], words[0].q, "b"):
+        row = _at_least(full, planes, lo)
+        if hi is not None:
+            row &= ~_at_least(full, planes, hi + 1)
+        rows.append(row)
+    return tuple(rows)
 
 
 def random_graph(rng: random.Random, v_count: int, density: float) -> SearchGraph:
@@ -141,10 +162,10 @@ class TestGraphBuilders:
         assert graph.adj == expected_adj
         radius = (dbmin - 1) // 2
         assert graph.balls == (pairwise_dist_b_masks(words, 0, radius) if radius >= 1 else None)
-        assert _dist_b_masks(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
-        assert _dist_b_masks(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
+        assert band_rows(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
+        assert band_rows(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
         # no pair is further apart than 2n, so this band leaves every row empty
-        beyond = _dist_b_masks(words, 2 * n + 1)
+        beyond = band_rows(words, 2 * n + 1)
         assert beyond == pairwise_dist_b_masks(words, 2 * n + 1) == (0,) * len(words)
 
     def test_restricted_weights(self):
@@ -278,6 +299,19 @@ class TestGreedy:
         for iterations in (0, -1):
             with pytest.raises(ValueError):
                 greedy_clique(build_unrestricted_graph(2, 2), seed=0, iterations=iterations)
+
+    def test_visit_budget_refuses_before_any_pass(self, monkeypatch):
+        # 8 outer words: 2 passes make 16 visits, 3 make 24
+        graph = build_restricted_graph(3, 3)
+        monkeypatch.setattr(search, "_MAX_GREEDY_VISITS", 16)
+        assert greedy_clique(graph, seed=1, iterations=2).iterations == 2
+        monkeypatch.setattr(search.random, "Random", _refuse)
+        with pytest.raises(BudgetExceededError, match="budget of 16 vertex visits"):
+            greedy_clique(graph, seed=1, iterations=3)
+        # a pass over the empty graph still counts one visit
+        empty = SearchGraph((), (), (), 1)
+        with pytest.raises(BudgetExceededError):
+            greedy_clique(empty, seed=0, iterations=17)
 
     def test_randrange_draws_as_choice(self):
         # the pick uses randrange(k) on the pool size where the recount used
@@ -446,10 +480,9 @@ class TestExact:
     def test_milp_time_budget(self, monkeypatch):
         # the unrestricted (5, 3) graph takes HiGHS about a minute to optimise
         graph = build_unrestricted_graph(5, 3)
-        balls = _dist_b_masks(graph.vertices, 0, 1)
         monkeypatch.setattr(search, "_MILP_TIME_LIMIT", 1e-3)
         with pytest.raises(BudgetExceededError, match="time limit"):
-            search._exact_milp(graph, balls)
+            search._exact_milp(graph, graph.balls)
 
     def test_symmetry_pruning_matches_plain_search(self):
         # orbit elimination must agree with per-vertex elimination on ternary
@@ -532,7 +565,7 @@ class TestExact:
         # of its members under the group elements fixing every chosen word,
         # cut to the pending set; the canonical-tag oracle gives the same
         words, group = word_group(q, n)
-        symbol_masks = search._symbol_masks(words)
+        symbol_masks = _columns(words, 3)
         rng = random.Random(10 * q + n)
         for chosen_count in range(5):
             for _ in range(4):
@@ -541,7 +574,7 @@ class TestExact:
                     image for image in group if all(image[c] == c for c in chosen)
                 ]
                 pending = rng.getrandbits(len(words)) | 1 << rng.randrange(len(words))
-                pending_set = set(search._iter_bits(pending))
+                pending_set = set(_iter_bits(pending))
                 chosen_words = [words[c] for c in chosen]
                 classes = search._orbit_masks(pending, symbol_masks, chosen_words)
                 assert all(classes)
@@ -551,7 +584,7 @@ class TestExact:
                     union |= mask
                 assert union == pending
                 for mask in classes:
-                    members = set(search._iter_bits(mask))
+                    members = set(_iter_bits(mask))
                     v = min(members)
                     assert members == {image[v] for image in stabilizer} & pending_set
                 reference = orbit_classes_reference(pending, words, chosen_words)
