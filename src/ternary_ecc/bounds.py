@@ -54,7 +54,7 @@ def sphere_volume_min(n: int, r: int) -> int:
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
     total = 0
-    for d in range(r + 1):
+    for d in range(min(r, 2 * n) + 1):
         for e2 in range(min(d // 2, n) + 1):
             total += comb(n, e2) * comb(n - e2, d - 2 * e2)
     return total

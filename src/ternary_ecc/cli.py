@@ -370,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         # and let the interpreter's last flush go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, OverflowError) as exc:
         return _fail(str(exc))
 
 

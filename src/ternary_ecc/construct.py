@@ -9,7 +9,6 @@ an outer word are separated by twice the inner Hamming distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -162,7 +161,7 @@ class ConstructionPlan:
 
     @property
     def inner_min_distance(self) -> int:
-        return math.ceil(self.dbmin / 2)
+        return (self.dbmin + 1) // 2
 
     def weight_enumerator(self) -> WeightEnumerator:
         return weight_enumerator(self.outer)

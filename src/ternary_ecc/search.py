@@ -32,10 +32,9 @@ class SearchGraph:
     word_symmetry marks graphs whose vertex set is a full weight window, in
     sorted order, with adjacency a dist_b threshold and each vertex weight a
     function of its Hamming weight. Coordinate permutations and
-    per-coordinate swaps of the non-zero symbols then act on the graph, and
-    the exact solver eliminates whole orbits and colors with metric balls;
-    balls then holds each vertex's radius-t_A ball (dist_b <= t_A) as a
-    bitmask row, or None below t_A = 1.
+    per-coordinate swaps of the non-zero symbols then act on the graph, so
+    the exact solver eliminates whole orbits, and an escalation to the
+    integer program takes the metric balls as rows.
     """
 
     vertices: tuple[Word, ...]
@@ -43,7 +42,6 @@ class SearchGraph:
     adj: tuple[int, ...]
     dbmin: int
     word_symmetry: bool = False
-    balls: tuple[int, ...] | None = None
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
@@ -68,10 +66,10 @@ def _window_graph(
     q: int, n: int, dbmin: int, wmin: int, wmax: int | None, weight_of: Callable[[int], int]
 ) -> SearchGraph:
     """Graph over every q-ary word of length n with Hamming weight in [wmin, wmax]
-    (wmax None: n), in sorted order, joined at dist_b >= dbmin and carrying
-    its radius-t_A balls; a vertex weighs weight_of(its Hamming weight). The
-    vertex count is summed only until it passes _MAX_VERTICES, which refuses
-    the graph with BudgetExceededError.
+    (wmax None: n), in sorted order, joined at dist_b >= dbmin; a vertex
+    weighs weight_of(its Hamming weight). The vertex count is summed only
+    until it passes _MAX_VERTICES, which refuses the graph with
+    BudgetExceededError.
     Each weight class is laid out from its supports, so a narrow window of a
     long length never walks the whole space."""
     if wmax is None:
@@ -87,21 +85,14 @@ def _window_graph(
         for support in combinations(range(n), w)
         for symbols in product(*(range(1, q) if i in support else (0,) for i in range(n)))
     )
-    # one pass over the count planes cuts both the adjacency and, from
-    # t_A = 1 on, the radius-t_A balls
-    lo, radius = max(dbmin, 1), (dbmin - 1) // 2
-    full = (1 << len(rows)) - 1
-    adj, balls = [], []
-    for planes in _pairwise_planes([symbols for symbols, _ in rows], q, "b"):
-        adj.append(_at_least(full, planes, lo))
-        if radius >= 1:
-            balls.append(full & ~_at_least(full, planes, radius + 1))
+    lo, full = max(dbmin, 1), (1 << len(rows)) - 1
+    adj = tuple(
+        _at_least(full, planes, lo)
+        for planes in _pairwise_planes([symbols for symbols, _ in rows], q, "b")
+    )
     words = tuple(Word(q, symbols) for symbols, _ in rows)
     weights = tuple(w for _, w in rows)
-    return SearchGraph(
-        words, weights, tuple(adj), dbmin, word_symmetry=True,
-        balls=tuple(balls) if radius >= 1 else None,
-    )
+    return SearchGraph(words, weights, adj, dbmin, word_symmetry=True)
 
 
 def build_unrestricted_graph(
@@ -116,7 +107,7 @@ def build_restricted_graph(
 ) -> SearchGraph:
     """Weighted graph over binary outer words; vertex weight is the size of the
     best inner code (minimum Hamming distance ceil(dbmin / 2)) for that weight."""
-    inner_dist = math.ceil(dbmin / 2)
+    inner_dist = (dbmin + 1) // 2
     return _window_graph(
         2, n, dbmin, wmin, wmax, lambda w: optimal_binary_code_size(w, inner_dist)
     )
@@ -237,9 +228,6 @@ def greedy_clique(graph: SearchGraph, seed: int, iterations: int) -> CliqueResul
 # Clique depth up to which orbit grouping is attempted.
 _ORBIT_DEPTH = 5
 
-# Candidate-set size from which sphere-cover coloring is worth its scan cost.
-_BALL_MIN = 48
-
 # Largest graph any search builds, in vertices (and largest restricted code, in
 # words), and the most edges exact_clique takes on; past any of them it refuses.
 _MAX_VERTICES = 20_000
@@ -321,13 +309,29 @@ def _orbit_masks(
     return classes
 
 
-def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
+def _ball_rows(graph: SearchGraph) -> list[int]:
+    """Each vertex's radius-t_A ball (dist_b <= t_A) as a bitmask row, from
+    one pass over the count planes; none below t_A = 1 or on a graph that is
+    not word-symmetric. q = 3 reads binary rows too: no word holds a 2."""
+    if not graph.word_symmetry or graph.dbmin < 3:
+        return []
+    radius = correction_capability(graph.dbmin)
+    full = (1 << len(graph.vertices)) - 1
+    symbols = [w.symbols for w in graph.vertices]
+    return [
+        full & ~_at_least(full, planes, radius + 1)
+        for planes in _pairwise_planes(symbols, 3, "b")
+    ]
+
+
+def _exact_milp(graph: SearchGraph) -> tuple[int, int]:
     """Maximum clique as an integer program over sphere exclusion constraints.
 
-    A radius-t_A ball is pairwise below dbmin, so a clique meets it at most
-    once; pair constraints cover the non-adjacent pairs no ball contains
-    (all of them when balls is empty). Settles searches that exhaust the
-    branch-and-bound node budget; the solved vector is re-verified as a clique.
+    A radius-t_A ball (_ball_rows) is pairwise below dbmin, so a clique meets
+    it at most once; pair constraints cover the non-adjacent pairs no ball
+    contains (all of them where there are no balls). Settles searches that
+    exhaust the branch-and-bound node budget; the solved vector is
+    re-verified as a clique.
     Raises BudgetExceededError past _MILP_TIME_LIMIT seconds. scipy is
     imported here because no other path needs it.
     """
@@ -336,7 +340,7 @@ def _exact_milp(graph: SearchGraph, balls: Sequence[int]) -> tuple[int, int]:
     v_count = len(graph.vertices)
     covered = [0] * v_count
     rows: list[int] = []
-    for ball in balls:
+    for ball in _ball_rows(graph):
         if ball.bit_count() >= 2:
             rows.append(ball)
             for v in _iter_bits(ball):
@@ -386,12 +390,11 @@ def _branch_and_bound(
     adj: Sequence[int],
     weights: Sequence[int],
     symbols: Sequence[tuple[int, ...]] | None = None,
-    balls: Sequence[int] | None = None,
 ) -> tuple[int, int]:
     """Maximum-weight clique by bitset branch and bound; returns (weight, mask).
 
     One root call over every vertex. Each node colors its candidate set
-    greedily (optionally radius-t_A balls first); a clique takes at most one
+    greedily; a clique takes at most one
     vertex per color class, so the running sum of per-class maximum weights
     bounds each prefix of the coloring, and only vertices whose prefix bound
     exceeds the incumbent gap are branched, last color first. With unit
@@ -431,19 +434,6 @@ def _branch_and_bound(
         gap = best_weight - clique_weight
         classes: list[int] = []
         remaining = candidates
-        if balls is not None:
-            while remaining.bit_count() >= _BALL_MIN:
-                take = 0
-                take_count = 0
-                for ball in balls:
-                    cover = ball & remaining
-                    count = cover.bit_count()
-                    if count > take_count:
-                        take, take_count = cover, count
-                if take_count < 4:
-                    break
-                remaining &= ~take
-                classes.append(take)
         while remaining:
             class_mask = 0
             pool = remaining
@@ -536,18 +526,17 @@ def exact_clique(graph: SearchGraph) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
     One _branch_and_bound root call in vertex order, from the empty clique.
-    A word-symmetric graph lends it the vertex words for orbit elimination
-    and, once dbmin >= 3, its radius-t_A balls as color classes; such a graph
-    must weight its vertices by Hamming weight alone (ValueError otherwise).
-    Past _NODE_CAP nodes the search escalates to the integer program, with
-    the balls as rows where there are any, and past _MILP_TIME_LIMIT seconds
-    that raises BudgetExceededError, as does a graph of more than _MAX_EDGES
-    edges.
+    A word-symmetric graph lends it the vertex words for orbit elimination;
+    such a graph must weight its vertices by Hamming weight alone (ValueError
+    otherwise). Past _NODE_CAP nodes the search escalates to the integer
+    program, with metric balls as rows where there are any, and past
+    _MILP_TIME_LIMIT seconds that raises BudgetExceededError, as does a
+    graph of more than _MAX_EDGES edges.
     """
     edges = graph.edge_count()
     if edges > _MAX_EDGES:
         raise BudgetExceededError(f"{edges} edges exceed the budget {_MAX_EDGES}")
-    symbols = balls = None
+    symbols = None
     if graph.word_symmetry:
         by_weight: dict[int, int] = {}
         for word, weight in zip(graph.vertices, graph.weights):
@@ -556,14 +545,10 @@ def exact_clique(graph: SearchGraph) -> CliqueResult:
                     "a word-symmetric graph weights its vertices by Hamming weight alone"
                 )
         symbols = [w.symbols for w in graph.vertices]
-        # radius-t_A balls are independent sets: they color the search and
-        # give the integer program its rows; below dbmin = 3 they are single
-        # vertices, and the integer program takes pair rows instead
-        balls = graph.balls
     try:
-        weight, mask = _branch_and_bound(graph.adj, graph.weights, symbols, balls)
+        weight, mask = _branch_and_bound(graph.adj, graph.weights, symbols)
     except _NodeCapReached:
-        weight, mask = _exact_milp(graph, balls or ())
+        weight, mask = _exact_milp(graph)
     members = tuple(sorted(graph.vertices[v] for v in _iter_bits(mask)))
     return CliqueResult(members, weight, exact=True)
 
@@ -655,7 +640,7 @@ def search_code(
     else:
         if result.total_weight > _MAX_VERTICES:  # the weight may outgrow str()
             raise BudgetExceededError(f"the code exceeds the cap of {_MAX_VERTICES} words")
-        inner_dist = math.ceil(dbmin / 2)
+        inner_dist = (dbmin + 1) // 2
         outer = Code(2, n, frozenset(result.members))
         needed = {sum(w.symbols) for w in result.members}
         plan = ConstructionPlan(

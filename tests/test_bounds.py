@@ -52,6 +52,10 @@ class TestSphereVolumeMin:
             for r in range(2 * n + 4):
                 assert sphere_volume_min(n, r) == sphere_volume_exact(n, n, r)
 
+    def test_radius_past_float_range(self):
+        # past radius 2n the sphere holds every word; the sum stops there
+        assert sphere_volume_min(3, 10**400) == 27
+
     def test_volume_monotone_in_center_weight(self):
         for n in range(1, 9):
             for w in range(n):

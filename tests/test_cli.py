@@ -15,7 +15,7 @@ import pytest
 import ternary_ecc
 from ternary_ecc.bounds import sphere_packing_bound
 from ternary_ecc.cli import main
-from ternary_ecc.core import load_code, save_code
+from ternary_ecc.core import Code, Word, load_code, save_code
 from ternary_ecc.decode import DECODER_KINDS
 from ternary_ecc.library import (
     nonlinear_5_4_3,
@@ -28,6 +28,9 @@ from ternary_ecc.metric import min_dist_b
 
 
 _PLAN_INNER = {"1": "w1.code", "2": "w2.code", "5": "w5.code"}
+
+# an integer past float range: a float conversion of it raises OverflowError
+_HUGE = 10**400
 
 
 @pytest.fixture()
@@ -273,13 +276,13 @@ class TestSearchCommand:
         [
             (
                 "--n 4 --d 3 --mode unrestricted",
-                '{"exact": true, "members": ["0000", "1022", "1101", "1112", "1210", '
-                '"1221", "2012", "2111", "2120", "2201", "2222"], "size": 11}',
+                '{"exact": true, "members": ["0000", "0112", "0221", "1011", "1022", '
+                '"1121", "1212", "2111", "2120", "2210", "2222"], "size": 11}',
             ),
             (
                 "--n 5 --d 5 --mode unrestricted",
-                '{"exact": true, "members": ["01221", "10122", "11111", "12210", '
-                '"21012", "22101", "22222"], "size": 7}',
+                '{"exact": true, "members": ["01212", "10122", "11111", "12201", '
+                '"21021", "22110", "22222"], "size": 7}',
             ),
             (
                 "--n 4 --d 4 --mode unrestricted --wmin 1 --wmax 3",
@@ -440,6 +443,56 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "the code exceeds the cap of 20000 words"}
+
+    @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
+    def test_search_takes_a_distance_past_float_range(self, capsys, mode):
+        # no two words are that far apart, so the best code is one word
+        start = time.perf_counter()
+        assert main(["search", "--n", "3", "--d", str(_HUGE), "--mode", mode]) == 0
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["size"] == 1
+
+    def test_plan_with_a_distance_past_float_range_exits_one(self, capsys, tmp_path):
+        # one outer word, so only the inner code's distance can fall short
+        save_code(Code(2, 3, frozenset({Word(2, (1, 1, 0))})), tmp_path / "outer.code")
+        save_code(repetition(2), tmp_path / "w2.code")
+        plan = {"q": 3, "dbmin": _HUGE, "outer": "outer.code", "inner": {"2": "w2.code"}}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan), encoding="ascii")
+        bits, words = tmp_path / "in.bits", tmp_path / "in.words"
+        bits.write_text("1\n", encoding="ascii")
+        words.write_text("110\n", encoding="ascii")
+        out_path = str(tmp_path / "out.txt")
+        needs = f"inner code for weight 2 has minimum distance 2, needs {(_HUGE + 1) // 2}"
+        for argv in (
+            ["construct", "--outer", str(tmp_path / "outer.code"),
+             "--inner", f"2={tmp_path / 'w2.code'}", "--dbmin", str(_HUGE)],
+            ["encode", "--plan", str(plan_path), "--in", str(bits), "--out", out_path],
+            ["decode", "--plan", str(plan_path), "--in", str(words), "--out", out_path],
+        ):
+            start = time.perf_counter()
+            assert main(argv) == 1
+            assert time.perf_counter() - start < 2.0
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err) == {"error": needs}
+
+    def test_bound_and_pmax_past_float_range(self, capsys):
+        # sphere volumes stop growing at radius 2n, and pmax refuses a length
+        # its float arithmetic cannot hold
+        for d in (30_000_000, _HUGE):
+            start = time.perf_counter()
+            assert main(["bound", "--n", "3", "--d", str(d)]) == 0
+            assert time.perf_counter() - start < 2.0
+            assert capsys.readouterr() == ("1\n", "")
+        start = time.perf_counter()
+        assert main(["pmax", "--n", str(_HUGE)]) == 1
+        assert time.perf_counter() - start < 2.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error" in json.loads(err)
 
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_search_refuses_distance_below_one(self, capsys, mode):

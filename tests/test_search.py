@@ -161,7 +161,8 @@ class TestGraphBuilders:
         )
         assert graph.adj == expected_adj
         radius = (dbmin - 1) // 2
-        assert graph.balls == (pairwise_dist_b_masks(words, 0, radius) if radius >= 1 else None)
+        balls = list(pairwise_dist_b_masks(words, 0, radius)) if radius >= 1 else []
+        assert search._ball_rows(graph) == balls
         assert band_rows(words, 0, radius) == pairwise_dist_b_masks(words, 0, radius)
         assert band_rows(words, 2, 3) == pairwise_dist_b_masks(words, 2, 3)
         # no pair is further apart than 2n, so this band leaves every row empty
@@ -213,11 +214,11 @@ class TestOptimalBinaryCodes:
         # these searches take the orbital path over the binary Hamming graph
         # and decide the inner codes that restricted search writes out
         pinned = {
-            (6, 3): "000111 001001 010000 011110 100100 101010 110011 111101",
-            (7, 3): "0000000 0001110 0010111 0011001 0100101 0101011 0110010 0111100 "
-            "1000011 1001101 1010100 1011010 1100110 1101000 1110001 1111111",
-            (7, 4): "0001111 0010100 0100001 0111010 1001000 1010011 1100110 1111101",
-            (8, 5): "00000000 01101011 10110111 11011100",
+            (6, 3): "000111 001010 010001 011100 100100 101001 110010 111111",
+            (7, 3): "0000000 0001101 0010110 0011011 0100011 0101110 0110101 0111000 "
+            "1000111 1001010 1010001 1011100 1100100 1101001 1110010 1111111",
+            (7, 4): "0001110 0010101 0100011 0111000 1001001 1010010 1100100 1111111",
+            (8, 5): "00000011 01110000 10001100 11111111",
         }
         for (length, dist), words in pinned.items():
             code = optimal_binary_code(length, dist)
@@ -388,9 +389,9 @@ class TestExact:
         calls: list[int] = []
         milp = search._exact_milp
 
-        def spy(graph, balls):
-            calls.append(len(balls))
-            return milp(graph, balls)
+        def spy(graph):
+            calls.append(len(search._ball_rows(graph)))
+            return milp(graph)
 
         monkeypatch.setattr(search, "_exact_milp", spy)
         return calls
@@ -421,9 +422,9 @@ class TestExact:
     def test_orbit_classes_settle_cells_within_node_budget(
         self, monkeypatch, n, dbmin, cap, size
     ):
-        # classes of the full stabilizer settle these cells in 1,731 and 100
-        # nodes; column-matching classes alone needed 2,426 and 228 (both
-        # counts with a greedy-seeded incumbent)
+        # classes of the full stabilizer settle these cells in 1,393 and 142
+        # nodes; column-matching classes alone needed 2,426 and 228 (those
+        # two counts with a greedy-seeded incumbent and sphere-cover coloring)
         calls = self._spy_on_milp(monkeypatch)
         monkeypatch.setattr(search, "_NODE_CAP", cap)
         code, result = search_code(n, dbmin, "unrestricted")
@@ -482,7 +483,7 @@ class TestExact:
         graph = build_unrestricted_graph(5, 3)
         monkeypatch.setattr(search, "_MILP_TIME_LIMIT", 1e-3)
         with pytest.raises(BudgetExceededError, match="time limit"):
-            search._exact_milp(graph, graph.balls)
+            search._exact_milp(graph)
 
     def test_symmetry_pruning_matches_plain_search(self):
         # orbit elimination must agree with per-vertex elimination on ternary
