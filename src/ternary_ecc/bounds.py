@@ -9,7 +9,8 @@ sphere. Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+
+_MAX_LENGTH = 30_000  # longest code length the volume and bound accept
 
 
 def correction_capability(dbmin: int) -> int:
@@ -43,26 +44,34 @@ def sphere_volume_exact(n: int, w: int, r: int) -> int:
 
 
 def sphere_volume_min(n: int, r: int) -> int:
-    """Volume of a sphere centered on a maximum-weight word, in closed form.
+    """Volume of a sphere centered on a maximum-weight word.
 
-    Words at distance d from the center split into e2 coordinates moved to the
-    other non-zero symbol (cost 2 each) and d - 2*e2 coordinates zeroed; at
-    most n coordinates can move, so past r = 2n the sphere holds all 3^n words.
+    Each coordinate of the center stays (cost 0), drops to zero (cost 1) or
+    moves to the other non-zero symbol (cost 2), so a_k, the number of words
+    at distance k, is the coefficient of x^k in f = (1 + x + x^2)^n. From
+    (1 + x + x^2) f' = n (1 + 2x) f, each a_k follows from the two before it;
+    as a_k = a_(2n-k), a radius of n or more subtracts the words beyond it
+    from all 3^n, so at most n terms are summed. Lengths above _MAX_LENGTH are
+    refused: at the cap the longest sum takes about half a second.
     """
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
+    if n > _MAX_LENGTH:
+        raise ValueError(f"length {n} exceeds the cap of {_MAX_LENGTH}")
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    total = 0
-    for d in range(min(r, 2 * n) + 1):
-        for e2 in range(min(d // 2, n) + 1):
-            total += comb(n, e2) * comb(n - e2, d - 2 * e2)
-    return total
+    beyond = r >= n  # count the words past the radius instead
+    last = 2 * n - min(r, 2 * n) - 1 if beyond else r
+    total, before, term = 0, 0, 1
+    for k in range(last + 1):
+        total += term
+        before, term = term, ((n - k) * term + (2 * n - k + 1) * before) // (k + 1)
+    return 3**n - total if beyond else total
 
 
 def sphere_packing_bound(n: int, dbmin: int) -> int:
     """Upper bound on the size of a length-n ternary code with the given dist_b minimum."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    radius = correction_capability(dbmin)
-    return 3**n // sphere_volume_min(n, radius)
+    volume = sphere_volume_min(n, correction_capability(dbmin))  # refuses a long n first
+    return 3**n // volume

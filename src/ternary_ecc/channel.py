@@ -18,6 +18,8 @@ from .core import Word
 
 LOG3_2 = math.log(2) / math.log(3)
 _CAPACITY_TOL = 1e-12  # width at which the capacity_numeric search stops
+_MAX_NUMERIC_Q = 128  # largest alphabet capacity_numeric takes (work grows as q^2)
+_MAX_SWEEP_STEPS = 20_000  # most grid points capacity_sweep takes
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,11 @@ def mutual_information_joint(spec: ChannelSpec, dist: tuple[float, ...]) -> floa
 def capacity_numeric(spec: ChannelSpec) -> CapacityResult:
     """Capacity by golden-section search over p0; works for every q and every valid p.
 
-    The objective is concave in p0, so the unimodal search is safe.
+    The objective is concave in p0, so the unimodal search is safe. Each
+    evaluation costs q^2, so alphabets above _MAX_NUMERIC_Q are refused.
     """
+    if spec.q > _MAX_NUMERIC_Q:
+        raise ValueError(f"alphabet {spec.q} exceeds the cap of {_MAX_NUMERIC_Q}")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def objective(p0: float) -> float:
@@ -213,9 +218,12 @@ def capacity_numeric(spec: ChannelSpec) -> CapacityResult:
 def capacity_sweep(
     p_start: float, p_stop: float, steps: int
 ) -> list[tuple[float, CapacityResult]]:
-    """Closed-form ternary capacity on a monotone grid of error probabilities."""
+    """Closed-form ternary capacity on a monotone grid of at most _MAX_SWEEP_STEPS
+    error probabilities."""
     if steps < 1:
         raise ValueError("sweep needs at least one step")
+    if steps > _MAX_SWEEP_STEPS:
+        raise ValueError(f"{steps} steps exceed the cap of {_MAX_SWEEP_STEPS}")
     if p_start > p_stop:
         raise ValueError("sweep range must be increasing")
     if steps == 1:

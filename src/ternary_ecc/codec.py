@@ -189,10 +189,15 @@ class StreamCodec:
     def inner_codeword(self, weight: int, bits: Bits) -> Word:
         return self._inner[weight].encode(bits)
 
-    def encode_block(self, stream: MessageStream) -> BlockTrace:
+    def _read_block(self, stream: MessageStream) -> tuple[Bits, int, Bits]:
+        """Read one block's outer bits, pick their row, read its inner bits."""
         u1 = stream.read(self._outer.k)
-        x1, _, support, inner = self._rows[_bits_to_int(u1)]
-        u2 = stream.read(inner.k)
+        index = _bits_to_int(u1)
+        return u1, index, stream.read(self._rows[index][3].k)
+
+    def encode_block(self, stream: MessageStream) -> BlockTrace:
+        u1, index, u2 = self._read_block(stream)
+        x1, _, support, inner = self._rows[index]
         x2 = inner.encode(u2)
         x = lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
         return BlockTrace(u1, x1, u2, x2, x)
@@ -221,19 +226,33 @@ class StreamCodec:
         return u1_hat, inner.decode(x2_hat)
 
     def encode_stream(self, bits: Iterable[int]) -> list[Word]:
+        """Encode the whole stream; each distinct block is built once per call."""
         stream = MessageStream(bits)
+        built: dict[tuple[int, Bits], Word] = {}  # (row index, inner bits) -> block
         blocks: list[Word] = []
         while not stream.drained:
-            blocks.append(self.encode_block(stream).x)
+            _, index, u2 = self._read_block(stream)
+            x = built.get((index, u2))
+            if x is None:
+                _, _, support, inner = self._rows[index]
+                x2 = inner.encode(u2)
+                x = lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
+                built[index, u2] = x
+            blocks.append(x)
         return blocks
 
     def decode_stream(self, words: Iterable[Word]) -> Bits:
+        """Decode every block in order; each distinct received word is decoded
+        once per call, and the first block that fails raises BlockDecodeError."""
+        decoded: dict[Word, Bits] = {}  # received word -> its message bits
         out: list[int] = []
         for index, received in enumerate(words):
-            try:
-                u1, u2 = self.decode_block(received)
-            except ErasureDecodeError as exc:
-                raise BlockDecodeError(f"block {index}: {exc}", index) from exc
-            out.extend(u1)
-            out.extend(u2)
+            bits = decoded.get(received)
+            if bits is None:
+                try:
+                    u1, u2 = self.decode_block(received)
+                except ErasureDecodeError as exc:
+                    raise BlockDecodeError(f"block {index}: {exc}", index) from exc
+                bits = decoded[received] = u1 + u2
+            out.extend(bits)
         return tuple(out)

@@ -11,6 +11,7 @@ from .metric import INF, _check_ml, _ml_cost
 
 DECODER_KINDS = ("da", "ml")
 _DECISION_CAP = 1 << 16  # decisions simulate keeps per call
+_MAX_TRIALS = 1_000_000  # trials simulate runs per call (about 12 s on [5,27,3])
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def simulate(
     trials might be split across workers. A decision depends on the received
     word alone, so each distinct received word is decoded once per call; up
     to _DECISION_CAP decisions are kept, and later new words are decoded
-    every time they arrive.
+    every time they arrive. More than _MAX_TRIALS trials are refused up front.
     """
     if decoder not in DECODER_KINDS:
         raise ValueError(f"unknown decoder {decoder!r}, expected one of {DECODER_KINDS}")
@@ -115,6 +116,8 @@ def simulate(
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the cap of {_MAX_TRIALS}")
     if code.q != spec.q:
         raise ValueError("code and channel alphabets differ")
     words = [word.symbols for word in code.sorted_words()]

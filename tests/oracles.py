@@ -171,6 +171,17 @@ def brute_sphere_volume(n: int, center: tuple[int, ...], r: int) -> int:
     )
 
 
+def sphere_volume_min_reference(n: int, r: int) -> int:
+    """bounds.sphere_volume_min as a double sum: words at distance d from a
+    maximum-weight center move e2 coordinates to the other non-zero symbol
+    and zero d - 2*e2 more."""
+    return sum(
+        math.comb(n, e2) * math.comb(n - e2, d - 2 * e2)
+        for d in range(min(r, 2 * n) + 1)
+        for e2 in range(min(d // 2, n) + 1)
+    )
+
+
 def word_prob(x: tuple[int, ...], y: tuple[int, ...], p: float) -> float:
     """Channel transition probability of a whole ternary word."""
     matrix = ternary_matrix(p)

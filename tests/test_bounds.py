@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from ternary_ecc import bounds
 from ternary_ecc.bounds import (
     sphere_packing_bound,
     sphere_volume_exact,
@@ -9,7 +12,7 @@ from ternary_ecc.bounds import (
 )
 from ternary_ecc.metric import min_dist_b
 
-from oracles import brute_sphere_volume
+from oracles import brute_sphere_volume, sphere_volume_min_reference
 
 
 class TestSphereVolumeExact:
@@ -56,6 +59,24 @@ class TestSphereVolumeMin:
         # past radius 2n the sphere holds every word; the sum stops there
         assert sphere_volume_min(3, 10**400) == 27
 
+    def test_equals_double_sum(self):
+        # every radius up to n = 40, both sides of the middle where the
+        # recurrence switches to counting the words beyond the radius
+        for n in range(41):
+            for r in range(2 * n + 2):
+                assert sphere_volume_min(n, r) == sphere_volume_min_reference(n, r), (n, r)
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randrange(41, 400)
+            r = rng.choice((n - 1, n, rng.randrange(2 * n + 2)))
+            assert sphere_volume_min(n, r) == sphere_volume_min_reference(n, r), (n, r)
+
+    def test_length_cap(self):
+        assert sphere_volume_min(bounds._MAX_LENGTH, 1) == 1 + bounds._MAX_LENGTH
+        for n in (bounds._MAX_LENGTH + 1, 10**400):
+            with pytest.raises(ValueError, match="cap"):
+                sphere_volume_min(n, 1)
+
     def test_volume_monotone_in_center_weight(self):
         for n in range(1, 9):
             for w in range(n):
@@ -87,6 +108,11 @@ class TestSpherePackingBound:
         for n in range(1, 9):
             for d in range(2 * n + 1, 4 * n + 7):
                 assert sphere_packing_bound(n, d) == 1
+
+    def test_length_cap_refuses_before_any_power(self):
+        for n in (bounds._MAX_LENGTH + 1, 100_000_000, 10**400):
+            with pytest.raises(ValueError, match="cap"):
+                sphere_packing_bound(n, 3)
 
     def test_domain(self):
         with pytest.raises(ValueError):

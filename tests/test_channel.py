@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ternary_ecc import channel
 from ternary_ecc.channel import (
     ChannelSpec,
     capacity,
@@ -216,8 +217,18 @@ class TestCapacityNumeric:
         )
         assert result.capacity_trits >= grid - 1e-6
 
+    def test_refuses_alphabets_past_the_cap(self):
+        for q in (channel._MAX_NUMERIC_Q + 1, 10**9):
+            with pytest.raises(ValueError, match="cap"):
+                capacity_numeric(ChannelSpec(q, 0.3))
+
 
 class TestCapacitySweep:
+    def test_refuses_steps_past_the_cap(self):
+        for steps in (channel._MAX_SWEEP_STEPS + 1, 10**9, 10**400):
+            with pytest.raises(ValueError, match="cap"):
+                capacity_sweep(0.0, 0.6, steps)
+
     def test_endpoints_and_length(self):
         rows = capacity_sweep(0.0, 0.6, 7)
         assert len(rows) == 7

@@ -494,6 +494,43 @@ class TestErrorPaths:
         assert out == ""
         assert "error" in json.loads(err)
 
+    def test_every_integer_flag_at_extremes(self, tmp_path, optimal_code_file):
+        # each integer flag at 10**9 and past float range, one fresh process
+        # at a time: an answer or a JSON refusal, never a traceback or a hang
+        code = str(optimal_code_file)
+        simulate = ["simulate", "--code", code, "--p", "0.1", "--decoder", "da"]
+        greedy = ["search", "--n", "3", "--d", "3", "--algo", "greedy", "--seed", "1"]
+        # (arguments with V for the value, exit status at 10**9, at 10**400)
+        cases = [
+            (["bound", "--n", "V", "--d", "3"], 1, 1),
+            (["bound", "--table", "--n-list", "V", "--d-list", "3"], 1, 1),
+            (["bound", "--n", "3", "--d", "V"], 0, 0),
+            ([*simulate, "--trials", "V", "--seed", "1"], 1, 1),
+            ([*simulate, "--trials", "10", "--seed", "V"], 0, 0),
+            (["capacity", "--sweep", "0", "0.6", "--steps", "V"], 1, 1),
+            (["capacity", "--q", "V", "--p", "0.3"], 1, 1),
+            (["pmax", "--n", "V"], 0, 1),
+            *[
+                case
+                for mode in ("unrestricted", "restricted")
+                for case in (
+                    (["search", "--n", "V", "--d", "3", "--mode", mode], 1, 1),
+                    (["search", "--n", "3", "--d", "V", "--mode", mode], 0, 0),
+                    ([*greedy, "--mode", mode, "--iters", "V"], 1, 1),
+                )
+            ],
+        ]
+        for argv, *statuses in cases:
+            for value, status in zip((10**9, _HUGE), statuses):
+                args = [str(value) if a == "V" else a for a in argv]
+                start = time.perf_counter()
+                done = _run_fresh(tmp_path, ["-m", "ternary_ecc.cli", *args])
+                elapsed = time.perf_counter() - start
+                assert (done.returncode, "Traceback" in done.stderr) == (status, False), args
+                assert elapsed < 2.0, (args, elapsed)
+                if status:
+                    assert "error" in json.loads(done.stderr), args
+
     @pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
     def test_search_refuses_distance_below_one(self, capsys, mode):
         for d in ("0", "-2"):

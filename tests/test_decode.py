@@ -183,6 +183,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed"):
             simulate(code_5_27_3, ChannelSpec(3, 0.3), "da", 1000, seed=1.5)
 
+    @pytest.mark.parametrize("trials", [decode._MAX_TRIALS + 1, 10**400])
+    def test_refuses_trials_past_the_cap_before_the_first(self, code_5_27_3, monkeypatch, trials):
+        monkeypatch.setattr(decode, "_draw_symbols", None)  # no trial may start
+        with pytest.raises(ValueError, match="cap"):
+            simulate(code_5_27_3, ChannelSpec(3, 0.3), "da", trials, seed=1)
+
     @pytest.mark.parametrize("trials", [True, 2.0])
     def test_rejects_non_integer_trials(self, code_5_27_3, trials):
         with pytest.raises(ValueError, match="trials"):

@@ -1,6 +1,7 @@
 """Property tests: the bit-sliced codebook scan against the linear-scan and
 pairwise oracles, and the code file round trip, over random small codes; the
-stream codec's block path against its pre-table version, over three plans;
+stream codec's block path against its pre-table version, over three plans,
+and whole streams with repeated blocks against it block by block;
 the exact search's bit-sliced orbit classes against canonical column tags;
 simulate's kept decisions against its per-trial loop; the shared column index
 and bit walk against brute force."""
@@ -20,7 +21,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from ternary_ecc import decode
 from ternary_ecc.channel import ChannelSpec
-from ternary_ecc.codec import MessageStream, StreamCodec, strip_padding
+from ternary_ecc.codec import BlockDecodeError, MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
     Code,
     CodeFormatError,
@@ -304,6 +305,102 @@ def test_encode_block_matches_reference(stream_codec, message):
     assert stream.drained
     # the padding rule: the message, a single 1, then zeros
     assert read == message + (1,) + (0,) * (len(read) - len(message) - 1)
+
+
+# A pattern of at most 16 bits tiled to 500..2,000 bits: a block read from the
+# message depends only on where in the pattern it starts, so two of the first
+# 17 blocks are equal, and the streams exercise the codec's per-call memos.
+tiled_messages = st.builds(
+    lambda pattern, length: (pattern * (length // len(pattern) + 1))[:length],
+    st.lists(st.integers(0, 1), min_size=1, max_size=16).map(tuple),
+    st.integers(500, 2000),
+)
+
+
+def _encode_stream_reference(codec, message):
+    stream = MessageStream(message)
+    words = []
+    while not stream.drained:
+        words.append(encode_block_reference(codec, stream).x)
+    return words
+
+
+def _decode_stream_outcome(call, codec, words):
+    try:
+        return call(codec, words)
+    except BlockDecodeError as exc:
+        return ("BlockDecodeError", exc.block_index, str(exc))
+
+
+def _decode_stream_reference(codec, words):
+    """decode_stream block by block through the oracle, with no memo."""
+    bits = []
+    for index, received in enumerate(words):
+        try:
+            u1, u2 = _decode_block_reference(codec, received)
+        except ErasureDecodeError as exc:
+            raise BlockDecodeError(f"block {index}: {exc}", index) from exc
+        bits += u1 + u2
+    return tuple(bits)
+
+
+def _corrupt(codec, words, rng, wild):
+    """Replace some occurrences of some distinct words, always by the same
+    word: with probability `wild` any word of the block length (often beyond
+    the decoding radius, and often undecodable), else a word within the
+    radius, so corrupted words repeat as the sent ones do."""
+    n = codec.plan.outer.n
+    radius = (codec.plan.dbmin - 1) // 2
+    swap = {}
+    for word in sorted(set(words)):
+        if rng.random() < 0.5:
+            continue
+        if rng.random() < wild:
+            symbols = [rng.randrange(3) for _ in range(n)]
+        else:
+            symbols = list(word.symbols)
+            for i in rng.sample(range(n), rng.randint(1, radius)):
+                symbols[i] = rng.choice((1, 2)) if symbols[i] == 0 else 0
+        swap[word] = Word(3, tuple(symbols))
+    return [swap.get(w, w) if rng.random() < 0.7 else w for w in words]
+
+
+@hypothesis.settings(STREAM_SETTINGS, max_examples=40)  # each stream has 60..1,000 blocks
+@hypothesis.given(
+    tiled_messages,
+    st.randoms(use_true_random=False),
+    st.sampled_from((0.0, 0.02, 0.2)),
+)
+def test_streams_with_repeated_blocks_match_reference(stream_codec, message, rng, wild):
+    words = stream_codec.encode_stream(message)
+    assert words == _encode_stream_reference(stream_codec, message)
+    assert len(set(words)) < len(words)
+    assert strip_padding(stream_codec.decode_stream(words)) == message
+    received = _corrupt(stream_codec, words, rng, wild)
+    assert _decode_stream_outcome(StreamCodec.decode_stream, stream_codec, received) == (
+        _decode_stream_outcome(_decode_stream_reference, stream_codec, received)
+    )
+
+
+def test_repeated_failing_block_reports_its_first_index(stream_codec):
+    # a word that fails to decode, sent after a good one and then repeated,
+    # fails at its first occurrence in every stream
+    n = stream_codec.plan.outer.n
+    good = stream_codec.encode_stream((1, 0, 1))[0]
+    failing = []
+    for symbols in product(range(3), repeat=n):
+        try:
+            _decode_block_reference(stream_codec, Word(3, symbols))
+        except ErasureDecodeError:
+            failing.append(Word(3, symbols))
+    assert failing
+    for bad in (failing[0], failing[-1]):
+        for stream in ([good, bad], [good, good, bad, good, bad], [good, bad, bad]):
+            outcome = _decode_stream_outcome(StreamCodec.decode_stream, stream_codec, stream)
+            assert outcome == _decode_stream_outcome(
+                _decode_stream_reference, stream_codec, stream
+            )
+            assert outcome[:2] == ("BlockDecodeError", stream.index(bad))
 
 
 @st.composite
