@@ -21,7 +21,6 @@ _PUBLIC = {
         "CapacityResult",
         "ChannelSpec",
         "capacity",
-        "capacity_numeric",
         "capacity_sweep",
         "mutual_information",
         "transition_matrix",

@@ -8,8 +8,6 @@ sphere. Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from functools import cache
-
 _MAX_LENGTH = 30_000  # longest code length the volume and bound accept
 
 
@@ -20,27 +18,26 @@ def correction_capability(dbmin: int) -> int:
     return (dbmin - 1) // 2
 
 
-@cache
 def sphere_volume_exact(n: int, w: int, r: int) -> int:
     """Number of ternary words within dist_b r of a length-n word of weight w.
 
-    Peeling off the last coordinate gives two recursions, one for a zero
-    coordinate and one for a non-zero coordinate (reaching the other non-zero
-    symbol costs 2). The volume depends on the center only through its weight.
+    A coordinate costs 1 to move between zero and non-zero, 2 between the
+    non-zero symbols, so c_k words lie at distance k, c_k the x^k coefficient
+    of f = (1 + x + x^2)^w (1 + 2x)^(n-w). As (1 + x + x^2)(1 + 2x) f' =
+    (w (1 + 2x)^2 + 2(n-w)(1 + x + x^2)) f, c_k follows from c_(k-3..k-1).
     """
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside 0..{n}")
-    if r < 0:
-        return 0
-    if n == 0:
-        return 1
-    if w < n:
-        return sphere_volume_exact(n - 1, w, r) + 2 * sphere_volume_exact(n - 1, w, r - 1)
-    return (
-        sphere_volume_exact(n - 1, w - 1, r)
-        + sphere_volume_exact(n - 1, w - 1, r - 1)
-        + sphere_volume_exact(n - 1, w - 1, r - 2)
-    )
+    if n > _MAX_LENGTH:
+        raise ValueError(f"length {n} exceeds the cap of {_MAX_LENGTH}")
+    a, b = 2 * n - w, 2 * n + 2 * w
+    total, older, old, term = 0, 0, 0, 1  # c_(k-2), c_(k-1), c_k
+    for k in range(min(r, n + w) + 1):
+        total += term
+        older, old, term = old, term, (
+            (a - 3 * k) * term + (b - 3 * k + 3) * old + (b - 2 * k + 4) * older
+        ) // (k + 1)
+    return total
 
 
 def sphere_volume_min(n: int, r: int) -> int:

@@ -16,9 +16,7 @@ from itertools import accumulate
 
 from .core import Word
 
-LOG3_2 = math.log(2) / math.log(3)
-_CAPACITY_TOL = 1e-12  # width at which the capacity_numeric search stops
-_MAX_NUMERIC_Q = 128  # largest alphabet capacity_numeric takes (work grows as q^2)
+_MAX_NUMERIC_Q = 128  # largest alphabet capacity takes (its cost does not grow with q)
 _MAX_SWEEP_STEPS = 20_000  # most grid points capacity_sweep takes
 
 
@@ -116,103 +114,54 @@ def entropy_trits(t: float) -> float:
     return result
 
 
+def _entropy(t: float, q: int) -> float:
+    """Entropy of the pair (t, 1-t) in base-q units."""
+    return entropy_trits(t) * (math.log(3) / math.log(q))
+
+
 def mutual_information(spec: ChannelSpec, p0: float) -> float:
-    """Mutual information in trits for the ternary input law (p0, (1-p0)/2, (1-p0)/2)."""
-    if spec.q != 3:
-        raise ValueError("the closed form covers the ternary channel only")
+    """Mutual information in base-q units for the input law
+    (p0, (1-p0)/(q-1), ..., (1-p0)/(q-1))."""
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 {p0} outside [0, 1]")
-    p = spec.p
-    if p > 2.0 / 3.0:
-        raise ValueError(f"error probability {p} outside [0, 2/3]")
-    t = p0 + p / 2.0 - 1.5 * p0 * p
+    q, p = spec.q, spec.p
+    r = p / (q - 1)
+    t = p0 + r - q / (q - 1) * p0 * p
     return (
-        entropy_trits(t)
-        - p0 * entropy_trits(p)
-        - (1.0 - p0) * entropy_trits(p / 2.0)
-        + (1.0 - p0) * (1.0 - p / 2.0) * LOG3_2
+        _entropy(t, q)
+        - p0 * _entropy(p, q)
+        - (1.0 - p0) * _entropy(r, q)
+        + (1.0 - p0) * (1.0 - r) * (math.log(q - 1) / math.log(q))
     )
-
-
-def _lambda(p: float) -> float:
-    return (
-        entropy_trits(p / 2.0) - entropy_trits(p) - (1.0 - p / 2.0) * LOG3_2
-    ) / (1.0 - 1.5 * p)
 
 
 def capacity(spec: ChannelSpec) -> CapacityResult:
-    """Closed-form ternary capacity; the optimizer clamps to [0, 1] when needed.
+    """Closed-form capacity for every alphabet up to _MAX_NUMERIC_Q.
 
-    Rejects p = 2/3 exactly, where the closed form is singular; use
-    capacity_numeric there.
+    Under the input law of mutual_information the output is 0 with
+    probability t = p0 + r - q/(q-1) p0 p, linear in p0, where r = p/(q-1),
+    and every non-zero output shares 1 - t evenly. With h the binary entropy
+    in base q and L = log_q(q-1),
+    I = h(t) - p0 h(p) - (1-p0) h(r) + (1-p0)(1-r) L.
+    Setting dI/dp0 = 0 gives log_q((1-t)/t) = -lam with
+    lam = (h(r) - h(p) - (1-r) L) / (1 - q p/(q-1)), so t* = q^lam / (1 + q^lam)
+    and p0* = (t* - r) / (1 - q p/(q-1)), clamped to [0, 1]. At the singular
+    point p = (q-1)/q, t = r for every p0 and I = (1-p0)(1-r) L falls
+    linearly, so p0* = 0.
     """
-    if spec.q != 3:
-        raise ValueError("the closed form covers the ternary channel only")
-    p = spec.p
-    if math.isclose(p, 2.0 / 3.0, rel_tol=0.0, abs_tol=1e-15):
-        raise ValueError("closed form is singular at p = 2/3; use capacity_numeric")
-    lam = _lambda(p)
-    t_star = 3.0**lam / (1.0 + 3.0**lam)
-    p0 = (t_star - p / 2.0) / (1.0 - 1.5 * p)
-    p0 = min(1.0, max(0.0, p0))
-    return CapacityResult(mutual_information(spec, p0), p0, lam)
-
-
-def input_distribution(spec: ChannelSpec, p0: float) -> tuple[float, ...]:
-    """Input law (p0, (1-p0)/(q-1), ..., (1-p0)/(q-1))."""
-    rest = (1.0 - p0) / (spec.q - 1)
-    return (p0,) + (rest,) * (spec.q - 1)
-
-
-def mutual_information_joint(spec: ChannelSpec, dist: tuple[float, ...]) -> float:
-    """Mutual information in base-q units from the explicit joint distribution."""
-    rows = transition_matrix(spec)
-    log_q = math.log(spec.q)
-    out = [
-        sum(dist[x] * rows[x][y] for x in range(spec.q)) for y in range(spec.q)
-    ]
-    total = 0.0
-    for x in range(spec.q):
-        if dist[x] == 0.0:
-            continue
-        for y in range(spec.q):
-            joint = dist[x] * rows[x][y]
-            if joint > 0.0:
-                total += joint * math.log(rows[x][y] / out[y]) / log_q
-    return total
-
-
-def capacity_numeric(spec: ChannelSpec) -> CapacityResult:
-    """Capacity by golden-section search over p0; works for every q and every valid p.
-
-    The objective is concave in p0, so the unimodal search is safe. Each
-    evaluation costs q^2, so alphabets above _MAX_NUMERIC_Q are refused.
-    """
-    if spec.q > _MAX_NUMERIC_Q:
-        raise ValueError(f"alphabet {spec.q} exceeds the cap of {_MAX_NUMERIC_Q}")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(p0: float) -> float:
-        return mutual_information_joint(spec, input_distribution(spec, p0))
-
-    lo, hi = 0.0, 1.0
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = objective(a), objective(b)
-    while hi - lo > _CAPACITY_TOL:
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = objective(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = objective(a)
-    candidates = [0.0, (lo + hi) / 2.0, 1.0]
-    p0 = max(candidates, key=objective)
-    return CapacityResult(
-        objective(p0), p0, lam=None, method="numeric", log_base=spec.q
-    )
+    q, p = spec.q, spec.p
+    if q > _MAX_NUMERIC_Q:
+        raise ValueError(f"alphabet {q} exceeds the cap of {_MAX_NUMERIC_Q}")
+    if math.isclose(p, (q - 1) / q, rel_tol=0.0, abs_tol=1e-15):
+        return CapacityResult(mutual_information(spec, 0.0), 0.0, log_base=q)
+    r = p / (q - 1)
+    slope = 1.0 - q / (q - 1) * p
+    lam = (
+        _entropy(r, q) - _entropy(p, q) - (1.0 - r) * (math.log(q - 1) / math.log(q))
+    ) / slope
+    t_star = q**lam / (1.0 + q**lam)
+    p0 = min(1.0, max(0.0, (t_star - r) / slope))
+    return CapacityResult(mutual_information(spec, p0), p0, lam, log_base=q)
 
 
 def capacity_sweep(

@@ -72,17 +72,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.p is None:
         raise ValueError("capacity needs --p (or --sweep START STOP)")
     spec = channel.ChannelSpec(args.q, args.p)
-    if args.q == 3:
-        try:
-            result = channel.capacity(spec)
-        except ValueError:
-            print(
-                "warning: closed form singular at p = 2/3, using numeric search",
-                file=sys.stderr,
-            )
-            result = channel.capacity_numeric(spec)
-    else:
-        result = channel.capacity_numeric(spec)
+    result = channel.capacity(spec)
     _emit_json(
         {
             "p": spec.p,
@@ -285,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_capacity = sub.add_parser("capacity", help="channel capacity, closed form or numeric")
+    p_capacity = sub.add_parser("capacity", help="channel capacity in closed form")
     p_capacity.add_argument("--p", type=float)
     p_capacity.add_argument("--q", type=int, default=3)
     p_capacity.add_argument("--sweep", type=float, nargs=2, metavar=("START", "STOP"))

@@ -176,10 +176,6 @@ class StreamCodec:
             self._rows.append((word, self._outer.decode(word), support, inner))
         self._row_of = {row[0]: row for row in self._rows}
 
-    @property
-    def outer_message_len(self) -> int:
-        return self._outer.k
-
     def inner_message_len(self, weight: int) -> int:
         return self._inner[weight].k
 
@@ -195,12 +191,16 @@ class StreamCodec:
         index = _bits_to_int(u1)
         return u1, index, stream.read(self._rows[index][3].k)
 
+    def _build_block(self, index: int, u2: Bits) -> tuple[Word, Word]:
+        """Inner codeword of row index for these bits, and the block it lifts to."""
+        _, _, support, inner = self._rows[index]
+        x2 = inner.encode(u2)
+        return x2, lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
+
     def encode_block(self, stream: MessageStream) -> BlockTrace:
         u1, index, u2 = self._read_block(stream)
-        x1, _, support, inner = self._rows[index]
-        x2 = inner.encode(u2)
-        x = lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
-        return BlockTrace(u1, x1, u2, x2, x)
+        x2, x = self._build_block(index, u2)
+        return BlockTrace(u1, self._rows[index][0], u2, x2, x)
 
     def _decode(self, received: Word) -> tuple[Word, tuple, tuple[int | None, ...], Word]:
         """Binary projection, row of the outer estimate, inner erasure pattern
@@ -234,10 +234,7 @@ class StreamCodec:
             _, index, u2 = self._read_block(stream)
             x = built.get((index, u2))
             if x is None:
-                _, _, support, inner = self._rows[index]
-                x2 = inner.encode(u2)
-                x = lift_onto_support(self.plan.outer.n, support, x2.symbols, self.plan.q)
-                built[index, u2] = x
+                x = built[index, u2] = self._build_block(index, u2)[1]
             blocks.append(x)
         return blocks
 

@@ -73,6 +73,21 @@ def ternary_mi(p: float, p0: float) -> float:
     )
 
 
+def qary_matrix(q: int, p: float) -> list[list[float]]:
+    """Transition rows of the q-ary channel: 0 -> j and j -> 0 each with p/(q-1)."""
+    r = p / (q - 1)
+    rows = [[1 - p] + [r] * (q - 1)]
+    for x in range(1, q):
+        rows.append([r if y == 0 else (1 - r if y == x else 0.0) for y in range(q)])
+    return rows
+
+
+def qary_mi(q: int, p: float, p0: float) -> float:
+    """Mutual information in base-q units for the law (p0, (1-p0)/(q-1), ...)."""
+    rest = (1 - p0) / (q - 1)
+    return joint_mutual_information(qary_matrix(q, p), [p0] + [rest] * (q - 1), q)
+
+
 def maximize_unimodal(f, lo: float, hi: float, grid: int = 200, tol: float = 1e-10):
     """Grid scan followed by golden-section refinement; returns (argmax, max)."""
     xs = [lo + i * (hi - lo) / grid for i in range(grid + 1)]

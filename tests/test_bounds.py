@@ -38,6 +38,18 @@ class TestSphereVolumeExact:
         with pytest.raises(ValueError):
             sphere_volume_exact(3, 4, 1)
 
+    def test_long_center(self):
+        # longer than a recursion per coordinate could go; the value is the
+        # truncated product of (1 + 2x)^250 (1 + x + x^2)^250
+        assert sphere_volume_exact(500, 250, 5) == 1964513228151
+        assert sphere_volume_exact(2000, 2000, 4000) == 3**2000
+
+    def test_length_cap(self):
+        assert sphere_volume_exact(bounds._MAX_LENGTH, 0, 1) == 1 + 2 * bounds._MAX_LENGTH
+        for n in (bounds._MAX_LENGTH + 1, 10**400):
+            with pytest.raises(ValueError, match="cap"):
+                sphere_volume_exact(n, 1, 1)
+
 
 class TestSphereVolumeMin:
     def test_reported_values(self):

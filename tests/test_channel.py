@@ -9,7 +9,6 @@ from ternary_ecc import channel
 from ternary_ecc.channel import (
     ChannelSpec,
     capacity,
-    capacity_numeric,
     capacity_sweep,
     entropy_trits,
     mutual_information,
@@ -20,7 +19,13 @@ from ternary_ecc.channel import (
 )
 from ternary_ecc.core import Word, all_words
 
-from oracles import joint_mutual_information, maximize_unimodal, ternary_matrix, ternary_mi
+from oracles import (
+    joint_mutual_information,
+    maximize_unimodal,
+    qary_mi,
+    ternary_matrix,
+    ternary_mi,
+)
 
 LOG3_2 = math.log(2, 3)
 
@@ -125,6 +130,13 @@ class TestMutualInformation:
                 assert mutual_information(ChannelSpec(3, p), p0) == pytest.approx(
                     ternary_mi(p, p0), abs=1e-12
                 )
+        for q in (4, 5, 16, 128):
+            limit = (q - 1) / q
+            for p in (0.0, 0.3 * limit, 0.9 * limit, limit):
+                for p0 in (0.0, 0.2, 0.8, 1.0):
+                    assert mutual_information(ChannelSpec(q, p), p0) == pytest.approx(
+                        qary_mi(q, p, p0), abs=1e-12
+                    ), (q, p, p0)
 
     def test_symmetric_split_is_optimal(self):
         # with p0 fixed, the joint-distribution I is maximized by an even
@@ -141,8 +153,20 @@ class TestMutualInformation:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mutual_information(ChannelSpec(3, 0.2), 1.2)
-        with pytest.raises(ValueError):
-            mutual_information(ChannelSpec(4, 0.2), 0.5)
+        assert mutual_information(ChannelSpec(4, 0.2), 0.5) == pytest.approx(
+            qary_mi(4, 0.2, 0.5), abs=1e-12
+        )
+
+    def test_ternary_values_are_pinned(self):
+        # exact floats: ternary outputs are compared byte for byte downstream
+        pinned = {
+            0.1: (0.5993832658928845, 0.7640236950201105, 0.5105725716457502, 0.0),
+            0.4: (0.5047438028571659, 0.43982566094423103, 0.2161576007349332, 0.0),
+            0.6: (0.44165082750002016, 0.33504281599902913, 0.13667162895086074, 0.0),
+        }
+        for p, values in pinned.items():
+            spec = ChannelSpec(3, p)
+            assert tuple(mutual_information(spec, p0) for p0 in (0.0, 0.25, 0.7, 1.0)) == values
 
 
 class TestCapacity:
@@ -180,9 +204,30 @@ class TestCapacity:
         assert result.p0_star == 0.0
         assert result.capacity_trits == pytest.approx((1 - 0.3) * LOG3_2)
 
-    def test_rejects_singular_point(self):
-        with pytest.raises(ValueError):
-            capacity(ChannelSpec(3, 2 / 3))
+    def test_singular_point_is_linear_in_p0(self):
+        # at p = 2/3 the output law no longer depends on p0, so I falls linearly
+        result = capacity(ChannelSpec(3, 2 / 3))
+        assert result.p0_star == 0.0
+        assert result.lam is None
+        assert result.capacity_trits == pytest.approx((1 - 1 / 3) * LOG3_2, abs=1e-15)
+        _, best = maximize_unimodal(lambda p0: ternary_mi(2 / 3, p0), 0.0, 1.0)
+        assert result.capacity_trits == pytest.approx(best, abs=1e-9)
+
+    def test_ternary_values_are_pinned(self):
+        # exact floats: ternary outputs are compared byte for byte downstream
+        pinned = [
+            (0.0, 1.0, 0.3333333333333333),
+            (0.05, 0.8598851031431654, 0.3037945677932462),
+            (0.1, 0.7650966421132546, 0.275559439656514),
+            (0.2, 0.6280743137268834, 0.2028833670166252),
+            (0.3, 0.5427394192228662, 0.08310854099462038),
+            (0.35, 0.5205170466964524, 0.0),
+            (0.5, 0.4731973151785931, 0.0),
+            (0.6, 0.44165082750002016, 0.0),
+        ]
+        for p, trits, p0_star in pinned:
+            result = capacity(ChannelSpec(3, p))
+            assert (result.capacity_trits, result.p0_star) == (trits, p0_star), p
 
     def test_capacity_bits_conversion(self):
         result = capacity(ChannelSpec(3, 0.0))
@@ -190,37 +235,49 @@ class TestCapacity:
 
 
 class TestCapacityNumeric:
+    """The closed form against numeric maximization of the joint-law oracle."""
+
     def test_agrees_with_closed_form(self):
         for p in (0.0, 0.1, 0.4, 0.6):
-            numeric = capacity_numeric(ChannelSpec(3, p))
-            closed = capacity(ChannelSpec(3, p))
-            assert numeric.capacity_trits == pytest.approx(
-                closed.capacity_trits, abs=1e-8
-            )
-            assert numeric.method == "numeric"
+            result = capacity(ChannelSpec(3, p))
+            _, best = maximize_unimodal(lambda p0: ternary_mi(p, p0), 0.0, 1.0)
+            assert result.capacity_trits == pytest.approx(best, abs=1e-8)
+            assert result.method == "closed-form"
 
     def test_handles_singular_point(self):
-        result = capacity_numeric(ChannelSpec(3, 2 / 3))
+        result = capacity(ChannelSpec(3, 2 / 3))
         assert 0.0 <= result.capacity_trits <= 1.0
 
     def test_qary(self):
         spec = ChannelSpec(5, 0.3)
-        result = capacity_numeric(spec)
+        result = capacity(spec)
         assert result.log_base == 5
         assert 0.0 < result.capacity_trits <= 1.0
         # independent coarse grid over the same one-parameter family
-        from ternary_ecc.channel import input_distribution, mutual_information_joint
-
-        grid = max(
-            mutual_information_joint(spec, input_distribution(spec, i / 200))
-            for i in range(201)
-        )
+        grid = max(qary_mi(5, 0.3, i / 200) for i in range(201))
         assert result.capacity_trits >= grid - 1e-6
+
+    def test_every_alphabet_matches_oracle(self):
+        # p from 0 to the singular point (q-1)/q; p0* clamps to 0 on the
+        # upper part of each range
+        for q in (3, 4, 5, 7, 16, 128):
+            limit = (q - 1) / q
+            clamped = 0
+            for i in range(11):
+                p = limit if i == 10 else limit * i / 10
+                result = capacity(ChannelSpec(q, p))
+                p0, best = maximize_unimodal(
+                    lambda p0: qary_mi(q, p, p0), 0.0, 1.0, grid=20
+                )
+                assert result.capacity_trits == pytest.approx(best, abs=1e-9), (q, p)
+                assert result.p0_star == pytest.approx(p0, abs=1e-4), (q, p)
+                clamped += result.p0_star == 0.0
+            assert 2 <= clamped < 10, q
 
     def test_refuses_alphabets_past_the_cap(self):
         for q in (channel._MAX_NUMERIC_Q + 1, 10**9):
             with pytest.raises(ValueError, match="cap"):
-                capacity_numeric(ChannelSpec(q, 0.3))
+                capacity(ChannelSpec(q, 0.3))
 
 
 class TestCapacitySweep:

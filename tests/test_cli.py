@@ -26,6 +26,8 @@ from ternary_ecc.library import (
 )
 from ternary_ecc.metric import min_dist_b
 
+from oracles import maximize_unimodal, qary_mi, ternary_mi
+
 
 _PLAN_INNER = {"1": "w1.code", "2": "w2.code", "5": "w5.code"}
 
@@ -104,17 +106,48 @@ class TestCapacityCommand:
             payload["capacity_trits"] * 1.5849625007211563
         )
 
-    def test_singular_point_falls_back(self, capsys):
+    def test_outputs_are_pinned(self, capsys):
+        # the benchmark's cli workload compares these bytes exactly
+        assert main(["capacity", "--p", "0.2"]) == 0
+        assert capsys.readouterr().out == (
+            '{"capacity_bits": 0.995474234923285, "capacity_trits": 0.6280743137268834, '
+            '"log_base": 3, "method": "closed-form", "p": 0.2, "p0_star": 0.2028833670166252, '
+            '"q": 3}\n'
+        )
+        assert main(["capacity", "--sweep", "0", "0.6", "--steps", "13"]) == 0
+        assert capsys.readouterr().out == (
+            "p,p0_star,capacity_trits,capacity_bits\n"
+            "0,0.333333333333,1,1.58496250072\n"
+            "0.05,0.303794567793,0.859885103143,1.36288564341\n"
+            "0.1,0.275559439657,0.765096642113,1.21264948718\n"
+            "0.15,0.242935904988,0.689500529201,1.09283248301\n"
+            "0.2,0.202883367017,0.628074313727,0.995474234923\n"
+            "0.25,0.151548926374,0.579137307099,0.91791091452\n"
+            "0.3,0.0831085409946,0.542739419223,0.860221627131\n"
+            "0.35,0,0.520517046696,0.825\n"
+            "0.4,0,0.504743802857,0.8\n"
+            "0.45,0,0.488970559018,0.775\n"
+            "0.5,0,0.473197315179,0.75\n"
+            "0.55,0,0.457424071339,0.725\n"
+            "0.6,0,0.4416508275,0.7\n"
+        )
+
+    def test_singular_point_closed_form(self, capsys):
         assert main(["capacity", "--p", str(2 / 3)]) == 0
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["method"] == "numeric"
-        assert "warning" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["method"] == "closed-form"
+        assert captured.err == ""
+        _, best = maximize_unimodal(lambda p0: ternary_mi(2 / 3, p0), 0.0, 1.0)
+        assert payload["capacity_trits"] == pytest.approx(best, abs=1e-9)
 
-    def test_qary_numeric(self, capsys):
+    def test_qary(self, capsys):
         assert main(["capacity", "--q", "5", "--p", "0.3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "numeric"
+        assert payload["method"] == "closed-form"
         assert payload["log_base"] == 5
+        _, best = maximize_unimodal(lambda p0: qary_mi(5, 0.3, p0), 0.0, 1.0)
+        assert payload["capacity_trits"] == pytest.approx(best, abs=1e-9)
 
     def test_sweep_csv(self, capsys):
         assert main(["capacity", "--sweep", "0", "0.6", "--steps", "7"]) == 0
