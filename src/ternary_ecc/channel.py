@@ -16,7 +16,9 @@ from itertools import accumulate
 
 from .core import Word
 
-_MAX_NUMERIC_Q = 128  # largest alphabet capacity takes (its cost does not grow with q)
+# largest alphabet capacity takes; it bounds no work (the closed form costs
+# the same at any q) and keeps the refusals capacity --q has always given
+_MAX_Q = 128
 _MAX_SWEEP_STEPS = 20_000  # most grid points capacity_sweep takes
 
 
@@ -136,7 +138,7 @@ def mutual_information(spec: ChannelSpec, p0: float) -> float:
 
 
 def capacity(spec: ChannelSpec) -> CapacityResult:
-    """Closed-form capacity for every alphabet up to _MAX_NUMERIC_Q.
+    """Closed-form capacity for every alphabet up to _MAX_Q.
 
     Under the input law of mutual_information the output is 0 with
     probability t = p0 + r - q/(q-1) p0 p, linear in p0, where r = p/(q-1),
@@ -150,8 +152,8 @@ def capacity(spec: ChannelSpec) -> CapacityResult:
     linearly, so p0* = 0.
     """
     q, p = spec.q, spec.p
-    if q > _MAX_NUMERIC_Q:
-        raise ValueError(f"alphabet {q} exceeds the cap of {_MAX_NUMERIC_Q}")
+    if q > _MAX_Q:
+        raise ValueError(f"alphabet {q} exceeds the cap of {_MAX_Q}")
     if math.isclose(p, (q - 1) / q, rel_tol=0.0, abs_tol=1e-15):
         return CapacityResult(mutual_information(spec, 0.0), 0.0, log_base=q)
     r = p / (q - 1)

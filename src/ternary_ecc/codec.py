@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Code, ErasureDecodeError, Word, _gf2_span
+from .core import Code, ErasureDecodeError, Word
 from .construct import (
     ConstructionPlan,
     SupportMap,
@@ -104,12 +104,8 @@ class DecodeTrace:
 
 
 class _MessageMap:
-    """Bijection between fixed-length bit blocks and the codewords of a code.
-
-    Linear codes with a full set of independent generator rows map message
-    bits through the rows; other codes enumerate sorted codewords, indexing
-    them with big-endian bit blocks.
-    """
+    """Bijection between fixed-length bit blocks and the codewords of a code:
+    a big-endian bit block indexes the sorted codewords."""
 
     def __init__(self, code: Code):
         if code.q != 2:
@@ -121,12 +117,7 @@ class _MessageMap:
             )
         self.code = code
         self.k = k
-        if code.generator is not None and len(code.generator) != k:
-            raise CodecError("generator rows are dependent; message map is ambiguous")
-        if code.generator is not None:
-            self._encode_table = list(_gf2_span(code.generator, code.n))
-        else:
-            self._encode_table = code.sorted_words()
+        self._encode_table = code.sorted_words()
         self._bits_of = {w: _int_to_bits(i, k) for i, w in enumerate(self._encode_table)}
 
     def encode(self, bits: Bits) -> Word:

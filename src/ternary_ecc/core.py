@@ -98,15 +98,11 @@ def min_hamming_distance(code: Code) -> int:
 
 @dataclass(frozen=True)
 class Code:
-    """Set of equal-length words over one alphabet.
-
-    A binary code may carry generator rows; they must span exactly its words.
-    """
+    """Set of equal-length words over one alphabet."""
 
     q: int
     n: int
     words: frozenset[Word]
-    generator: tuple[Word, ...] | None = None
     # Sorted words, and per (position, symbol) the mask of their indices.
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -119,16 +115,6 @@ class Code:
                 raise ValueError(f"word alphabet {w.q} differs from code alphabet {self.q}")
             if len(w) != self.n:
                 raise ValueError(f"word length {len(w)} differs from block length {self.n}")
-        if self.generator is not None:
-            if self.q != 2:
-                raise ValueError("generator rows are defined for binary codes only")
-            rows = tuple(self.generator)
-            object.__setattr__(self, "generator", rows)
-            for row in rows:
-                if row.q != 2 or len(row) != self.n:
-                    raise ValueError("generator rows must be binary words of length n")
-            if frozenset(_gf2_span(rows, self.n)) != self.words:
-                raise ValueError("generator rows do not span the given codeword set")
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Code":
@@ -143,14 +129,19 @@ class Code:
 
     @classmethod
     def from_generator(cls, rows: Sequence[Word | str]) -> "Code":
-        """The binary code spanned by the rows, which it keeps as its generator."""
+        """The binary code spanned by the rows."""
         row_words = tuple(
             r if isinstance(r, Word) else Word.from_string(r, 2) for r in rows
         )
         if not row_words:
             raise ValueError("a generator needs at least one row")
         n = len(row_words[0])
-        return cls(2, n, _gf2_span(row_words, n), row_words)
+        if any(r.q != 2 or len(r) != n for r in row_words):
+            raise ValueError("generator rows must be binary words of one length")
+        span = [(0,) * n]
+        for row in row_words:
+            span += [tuple(a ^ b for a, b in zip(s, row.symbols)) for s in span]
+        return cls(2, n, frozenset(Word(2, s) for s in span))
 
     @property
     def size(self) -> int:
@@ -364,15 +355,6 @@ def _pairwise_planes(
 # perfbench's stream workload traces Code.nearest and Code.erasure_decode
 # under this older name; drop it when that workload is next changed.
 BinaryBlockCode = Code
-
-
-def _gf2_span(rows: Sequence[Word], n: int) -> tuple[Word, ...]:
-    """Every XOR of the rows, in message order: entry i combines the rows
-    selected by the bits of i, the first row as the most significant bit."""
-    span = [(0,) * n]
-    for row in reversed(rows):
-        span += [tuple(a ^ b for a, b in zip(s, row.symbols)) for s in span]
-    return tuple(Word(2, s) for s in span)
 
 
 @dataclass(frozen=True)

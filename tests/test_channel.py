@@ -275,7 +275,7 @@ class TestCapacityNumeric:
             assert 2 <= clamped < 10, q
 
     def test_refuses_alphabets_past_the_cap(self):
-        for q in (channel._MAX_NUMERIC_Q + 1, 10**9):
+        for q in (channel._MAX_Q + 1, 10**9):
             with pytest.raises(ValueError, match="cap"):
                 capacity(ChannelSpec(q, 0.3))
 

@@ -15,6 +15,7 @@ import pytest
 import ternary_ecc
 from ternary_ecc.bounds import sphere_packing_bound
 from ternary_ecc.cli import main
+from ternary_ecc.codec import StreamCodec, strip_padding
 from ternary_ecc.core import Code, Word, load_code, save_code
 from ternary_ecc.decode import DECODER_KINDS
 from ternary_ecc.library import (
@@ -52,6 +53,19 @@ def plan_files(tmp_path):
     plan = {"q": 3, "dbmin": 3, "outer": "outer.code", "inner": _PLAN_INNER}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan), encoding="ascii")
+    return plan_path
+
+
+def _save_plan(plan, directory: Path) -> Path:
+    """Save a plan's component codes and its JSON file into directory."""
+    save_code(plan.outer, directory / "outer.code")
+    for weight, code in plan.inner.items():
+        save_code(code, directory / f"w{weight}.code")
+    plan_path = directory / "plan.json"
+    plan_path.write_text(json.dumps({
+        "q": 3, "dbmin": plan.dbmin, "outer": "outer.code",
+        "inner": {str(weight): f"w{weight}.code" for weight in plan.inner},
+    }), encoding="ascii")
     return plan_path
 
 
@@ -364,15 +378,7 @@ class TestCodecCommands:
     def test_plan_outputs_are_pinned(self, capsys, tmp_path, request, label, blocks, coded_sha256):
         """3000 random bits encode to pinned words and decode back through one
         channel error per block."""
-        plan = request.getfixturevalue(f"plan_{label}")
-        save_code(plan.outer, tmp_path / "outer.code")
-        for weight, code in plan.inner.items():
-            save_code(code, tmp_path / f"w{weight}.code")
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({
-            "q": 3, "dbmin": plan.dbmin, "outer": "outer.code",
-            "inner": {str(weight): f"w{weight}.code" for weight in plan.inner},
-        }), encoding="ascii")
+        plan_path = _save_plan(request.getfixturevalue(f"plan_{label}"), tmp_path)
         rng = random.Random(2024)
         bits = "".join(rng.choice("01") for _ in range(3000))
         (tmp_path / "in.bits").write_text(bits, encoding="ascii")
@@ -391,6 +397,30 @@ class TestCodecCommands:
         assert main(["decode", "--plan", str(plan_path), "--in", str(noisy), "--out", str(out)]) == 0
         assert capsys.readouterr().out == f'{{"bits_out": 3000, "blocks": {blocks}}}\n'
         assert out.read_bytes() == bits.encode("ascii") + b"\n"
+
+    @pytest.mark.parametrize("label", ["5_21_3", "8_241_4"])
+    def test_cli_and_api_streams_agree(self, capsys, tmp_path, request, label):
+        """A plan of library codes, saved to files, encodes to the same words
+        through the CLI as through StreamCodec, and each side decodes the
+        other's words back to the message."""
+        plan = request.getfixturevalue(f"plan_{label}")
+        plan_path = _save_plan(plan, tmp_path)
+        message = "110110101001011" * 7
+        (tmp_path / "in.bits").write_text(message, encoding="ascii")
+        cli_words = tmp_path / "cli.words"
+        assert main(["encode", "--plan", str(plan_path), "--in", str(tmp_path / "in.bits"),
+                     "--out", str(cli_words)]) == 0
+        codec = StreamCodec(plan)
+        api_words = codec.encode_stream(int(b) for b in message)
+        lines = cli_words.read_text(encoding="ascii").split()
+        assert lines == [str(x) for x in api_words]
+        read_back = [Word.from_string(line, 3) for line in lines]
+        assert "".join(map(str, strip_padding(codec.decode_stream(read_back)))) == message
+        (tmp_path / "api.words").write_text("".join(f"{x}\n" for x in api_words), encoding="ascii")
+        assert main(["decode", "--plan", str(plan_path), "--in", str(tmp_path / "api.words"),
+                     "--out", str(tmp_path / "out.bits")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out.bits").read_text(encoding="ascii") == message + "\n"
 
     def test_words_file_has_no_header(self, tmp_path, plan_files, capsys):
         bits_in = tmp_path / "m.bits"

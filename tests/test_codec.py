@@ -223,19 +223,20 @@ class TestCodecGuards:
         with pytest.raises(CodecError):
             StreamCodec(plan)
 
-    def test_dependent_generator_rows_rejected(self):
-        # two equal rows span the 2-word repetition code: one message bit,
-        # two rows, so the generator cannot index the codewords
+    def test_dependent_generator_rows_stream(self):
+        # two equal rows span the 2-word repetition code, which is all the
+        # code is: its one message bit indexes the two sorted words
         outer = Code.from_strings(2, ["1100", "0011"])
         inner = Code.from_generator(["11", "11"])
-        assert inner.words == repetition(2).words
-        plan = ConstructionPlan(outer, {2: inner}, dbmin=4)
-        with pytest.raises(CodecError, match="dependent"):
-            StreamCodec(plan)
+        assert inner == repetition(2)
+        codec = StreamCodec(ConstructionPlan(outer, {2: inner}, dbmin=4))
+        message = (1, 0, 1, 1, 0)
+        assert strip_padding(codec.decode_stream(codec.encode_stream(message))) == message
 
-    def test_generator_bijection_used(self, plan_5_21_3):
-        # the inner length-5 code encodes by generator rows: message 1000
-        # lands on the last listed row
+    def test_message_indexes_sorted_codewords(self, plan_5_21_3):
+        # the inner even-weight [5, 16, 2] code: message i is the i-th
+        # smallest codeword, whichever rows built the code
         codec = StreamCodec(plan_5_21_3)
-        assert str(codec.inner_codeword(5, (1, 0, 0, 0))) == "00011"
-        assert str(codec.inner_codeword(5, (0, 1, 1, 0))) == "01010"
+        words = plan_5_21_3.inner_for(5).sorted_words()
+        assert str(codec.inner_codeword(5, (1, 0, 0, 0))) == str(words[8]) == "10001"
+        assert str(codec.inner_codeword(5, (0, 1, 1, 0))) == str(words[6]) == "01100"

@@ -26,6 +26,7 @@ from ternary_ecc.library import (
     ternary_5_27_3,
     zero_code,
 )
+from ternary_ecc.search import optimal_binary_code
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -96,7 +97,7 @@ class TestWeightEnumerator:
     def test_extended_hamming_by_enumeration(self):
         code = extended_hamming_8_4_4()
         # independent enumeration from the generator rows
-        rows = [tuple(r.symbols) for r in code.generator]
+        rows = [tuple(int(c) for c in r) for r in ("10001101", "01001011", "00100111", "00011110")]
         span = set()
         for mask in range(16):
             acc = (0,) * 8
@@ -116,16 +117,11 @@ class TestWeightEnumerator:
 
 
 class TestBinaryCode:
-    def test_generator_span_checked(self):
-        rows = (w("110", 2), w("011", 2))
-        words = frozenset({w("000", 2), w("110", 2), w("011", 2)})  # missing 101
-        with pytest.raises(ValueError):
-            Code(2, 3, words, rows)
-
     def test_generator_only_for_binary_codes(self):
-        words = frozenset({w("0"), w("1"), w("2")})
-        with pytest.raises(ValueError):
-            Code(3, 1, words, (w("1"),))
+        with pytest.raises(ValueError, match="binary"):
+            Code.from_generator([w("1")])
+        with pytest.raises(ValueError, match="binary"):
+            Code.from_generator([w("10", 2), w("1", 2)])
 
     def test_info_len(self):
         assert extended_hamming_8_4_4().info_len == 4
@@ -162,7 +158,6 @@ class TestBinaryCode:
         code = single_parity_check(5)
         assert code.size == 16
         assert all(hamming_weight(word) % 2 == 0 for word in code.words)
-        assert [str(r) for r in code.generator] == ["00011", "00110", "01100", "11000"]
 
 
 class TestCodeFiles:
@@ -175,6 +170,39 @@ class TestCodeFiles:
         path = tmp_path / "c.code"
         save_code(code, path)
         assert load_code(path).words == code.words
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: zero_code(0),
+            lambda: zero_code(3),
+            lambda: repetition(1),
+            lambda: repetition(2),
+            lambda: repetition(5),
+            lambda: single_parity_check(2),
+            lambda: single_parity_check(5),
+            extended_hamming_8_4_4,
+            nonlinear_5_4_3,
+            ternary_5_27_3,
+            lambda: optimal_binary_code(5, 1),
+            lambda: optimal_binary_code(6, 2),
+        ],
+        ids=[
+            "zero0", "zero3", "rep1", "rep2", "rep5", "spc2", "spc5", "ext_hamming",
+            "nonlinear", "ternary", "optimal_5_1", "optimal_6_2",
+        ],
+    )
+    def test_roundtrip_is_the_same_code(self, make):
+        # a code is its words: no part of it is lost in the file format
+        code = make()
+        text = io.StringIO()
+        save_code(code, text)
+        loaded = load_code(io.StringIO(text.getvalue()))
+        assert loaded == code
+        assert hash(loaded) == hash(code)
+
+    def test_codes_built_from_rows_or_words_are_one(self):
+        assert len({repetition(2), Code.from_strings(2, ["00", "11"])}) == 1
 
     def test_symbol_out_of_range(self):
         with pytest.raises(CodeFormatError):
