@@ -28,15 +28,7 @@ _PUBLIC = {
         "transmit",
     ),
     "codec": ("BlockTrace", "DecodeTrace", "MessageStream", "StreamCodec", "strip_padding"),
-    "construct": (
-        "ConstructionPlan",
-        "SupportMap",
-        "build_code",
-        "construction_size",
-        "lift_erasure_word",
-        "lower_to_erasure_word",
-        "scatter_into_support",
-    ),
+    "construct": ("ConstructionPlan", "build_code", "construction_size"),
     "core": (
         "Code",
         "CodeFormatError",

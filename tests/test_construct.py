@@ -7,17 +7,10 @@ import pytest
 from ternary_ecc.construct import (
     ConstructionPlan,
     PlanError,
-    SupportMap,
     build_code,
     construction_size,
-    format_erasure_text,
-    gather_from_support,
-    lift_erasure_word,
     lift_onto_support,
     lower_from_support,
-    lower_to_erasure_word,
-    parse_erasure_text,
-    scatter_into_support,
 )
 from ternary_ecc.core import (
     Code,
@@ -35,26 +28,45 @@ from ternary_ecc.library import (
 )
 from ternary_ecc.metric import dist_b, min_dist_b
 
+from oracles import (
+    gather_reference,
+    lift_reference,
+    lower_reference,
+    scatter_reference,
+    support_reference,
+)
+
 
 def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
 
 
+# The paper's example: the inner word 11010?1?, its two erasures left off
+# the support, lifts to 22121020.
+PAPER_PATTERN = (1, 1, 0, 1, 0, None, 1, None)
+
+
+def unerased(pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions of a pattern that hold a symbol, and those symbols."""
+    kept = [(i, s) for i, s in enumerate(pattern) if s is not None]
+    return tuple(i for i, _ in kept), tuple(s for _, s in kept)
+
+
 class TestSupportScatter:
     def test_documented_example(self):
+        # the payload 201 has a zero, which only the reference scatter places
         mask = w("10011000", 2)
-        support = SupportMap.of(mask)
-        assert support.one_based() == (1, 4, 5)
-        assert scatter_into_support(mask, w("201")) == w("20001000")
+        assert tuple(i + 1 for i in support_reference(mask)) == (1, 4, 5)
+        assert scatter_reference(mask, w("201")) == w("20001000")
 
     def test_zero_payload_gives_zero_word(self):
-        assert scatter_into_support(w("1100", 2), w("00")) == w("0000")
+        assert scatter_reference(w("1100", 2), w("00")) == w("0000")
+        assert lift_onto_support(4, (), (), 3) == w("0000")
 
     def test_fiber_of_a_support(self):
-        mask = w("1100", 2)
         fiber = {
-            str(scatter_into_support(mask, w(a)))
-            for a in ("11", "12", "21", "22")
+            str(lift_onto_support(4, (0, 1), a, 3))
+            for a in ((0, 0), (0, 1), (1, 0), (1, 1))
         }
         assert fiber == {"1100", "1200", "2100", "2200"}
 
@@ -66,38 +78,43 @@ class TestSupportScatter:
             payload = Word(
                 3, tuple(rng.randrange(3) for _ in range(sum(mask.symbols)))
             )
-            scattered = scatter_into_support(mask, payload)
-            assert gather_from_support(mask, scattered) == payload
+            scattered = scatter_reference(mask, payload)
+            assert gather_reference(mask, scattered) == payload
+            # the kept pair reads a zero of the payload as an erasure
+            lowered = lower_from_support(scattered.symbols, support_reference(mask))
+            assert lowered == lower_reference(payload)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            scatter_into_support(w("1100", 2), w("1"))
+            lift_onto_support(4, (0, 1), (0,), 3)
 
 
 class TestLiftLower:
     def test_documented_example(self):
-        assert str(lift_erasure_word(parse_erasure_text("11010?1?"), 3)) == "22121020"
+        support, symbols = unerased(PAPER_PATTERN)
+        assert str(lift_onto_support(8, support, symbols, 3)) == "22121020"
 
     def test_two_zeros(self):
-        assert str(lift_erasure_word((0, 0), 3)) == "11"
+        assert str(lift_onto_support(2, (0, 1), (0, 0), 3)) == "11"
 
     def test_qary(self):
-        assert str(lift_erasure_word(parse_erasure_text("30?"), 5)) == "410"
+        assert str(lift_onto_support(3, (0, 1), (3, 0), 5)) == "410"
 
     def test_lower_examples(self):
-        assert lower_to_erasure_word(w("22121020")) == parse_erasure_text("11010?1?")
-        assert lower_to_erasure_word(w("000")) == (None, None, None)
+        assert lower_from_support(w("22121020").symbols, range(8)) == PAPER_PATTERN
+        assert lower_from_support(w("000").symbols, range(3)) == (None, None, None)
 
     def test_roundtrip_random(self):
         rng = random.Random(4)
         for _ in range(1000):
             n = rng.randrange(0, 9)
             word = Word(3, tuple(rng.randrange(3) for _ in range(n)))
-            assert lift_erasure_word(lower_to_erasure_word(word), 3) == word
+            support, symbols = unerased(lower_from_support(word.symbols, range(n)))
+            assert lift_onto_support(n, support, symbols, 3) == word
 
     def test_symbol_out_of_subalphabet(self):
         with pytest.raises(ValueError):
-            lift_erasure_word((2,), 3)
+            lift_onto_support(1, (0,), (2,), 3)
 
     def test_support_helpers_match_word_helpers(self):
         rng = random.Random(6)
@@ -105,13 +122,13 @@ class TestLiftLower:
             q = rng.choice((3, 4, 5))
             n = rng.randrange(0, 10)
             mask = Word(2, tuple(rng.randrange(2) for _ in range(n)))
-            support = SupportMap.of(mask).positions
+            support = support_reference(mask)
             inner = tuple(rng.randrange(q - 1) for _ in support)
             lifted = lift_onto_support(n, support, inner, q)
-            assert lifted == scatter_into_support(mask, lift_erasure_word(inner, q))
+            assert lifted == scatter_reference(mask, lift_reference(inner, q))
             received = Word(q, tuple(rng.randrange(q) for _ in range(n)))
             assert lower_from_support(received.symbols, support) == (
-                lower_to_erasure_word(gather_from_support(mask, received))
+                lower_reference(gather_reference(mask, received))
             )
 
     def test_lift_onto_support_rejects_bad_input(self):
@@ -120,18 +137,39 @@ class TestLiftLower:
         with pytest.raises(ValueError):
             lift_onto_support(4, (0,), (2,), 3)
 
-    def test_format_parse_roundtrip(self):
-        text = "1?0?1"
-        assert format_erasure_text(parse_erasure_text(text)) == text
-
-    def test_parse_qary(self):
-        assert parse_erasure_text("30?") == (3, 0, None)
-
-    @pytest.mark.parametrize("text", ["\u0661?0", "\u0662"])
-    def test_parse_refuses_non_ascii_digits(self, text):
-        # int() reads the Arabic-Indic digits one and two; the parser must not
+    @pytest.mark.parametrize(
+        "n, support, symbols, q",
+        [
+            (4, (0,), (-1,), 3),  # would lift to zero, an erasure
+            (4, (0,), (None,), 3),  # an erasure is not a symbol
+            (4, (-1,), (1,), 3),  # would index from the end
+            (4, (4,), (1,), 3),  # past the word
+            (4, (1, 1), (1, 0), 3),  # repeated: the second would overwrite
+            (4, (2, 1), (1, 0), 3),  # decreasing
+            (2, (0, 1), (0, 0), 2),  # no sub-alphabet to lift from
+        ],
+        ids=[
+            "negative-symbol",
+            "erasure-symbol",
+            "negative-position",
+            "position-past-n",
+            "repeated-position",
+            "decreasing-support",
+            "binary-target",
+        ],
+    )
+    def test_lift_onto_support_refuses(self, n, support, symbols, q):
         with pytest.raises(ValueError):
-            parse_erasure_text(text)
+            lift_onto_support(n, support, symbols, q)
+
+    def test_pattern_roundtrip(self):
+        pattern = (1, None, 0, None, 1)
+        support, symbols = unerased(pattern)
+        lifted = lift_onto_support(5, support, symbols, 3)
+        assert lower_from_support(lifted.symbols, range(5)) == pattern
+
+    def test_lower_qary(self):
+        assert lower_from_support(w("410", 5).symbols, range(3)) == (3, 0, None)
 
 
 class TestPlanValidation:
@@ -279,8 +317,8 @@ class TestMappingProperties:
                 n = rng.randrange(0, 13)
                 u = Word(q - 1, tuple(rng.randrange(q - 1) for _ in range(n)))
                 v = Word(q - 1, tuple(rng.randrange(q - 1) for _ in range(n)))
-                lifted_u = lift_erasure_word(u.symbols, q)
-                lifted_v = lift_erasure_word(v.symbols, q)
+                lifted_u = lift_onto_support(n, range(n), u.symbols, q)
+                lifted_v = lift_onto_support(n, range(n), v.symbols, q)
                 assert dist_b(lifted_u, lifted_v) == 2 * hamming_distance(u, v)
 
     def test_scatter_is_isometric_on_a_common_support(self):
@@ -292,8 +330,9 @@ class TestMappingProperties:
                 k = sum(mask.symbols)
                 a = Word(q, tuple(rng.randrange(q) for _ in range(k)))
                 b = Word(q, tuple(rng.randrange(q) for _ in range(k)))
+                # zeros in the payloads: only the reference scatter places them
                 assert dist_b(
-                    scatter_into_support(mask, a), scatter_into_support(mask, b)
+                    scatter_reference(mask, a), scatter_reference(mask, b)
                 ) == dist_b(a, b)
 
     def test_scatter_dominates_support_distance(self):
@@ -309,6 +348,10 @@ class TestMappingProperties:
                 b = Word(
                     q, tuple(rng.randrange(1, q) for _ in range(sum(v.symbols)))
                 )
-                assert dist_b(
-                    scatter_into_support(u, a), scatter_into_support(v, b)
-                ) >= dist_b(u, v)
+                lifted_a = lift_onto_support(
+                    n, support_reference(u), [s - 1 for s in a.symbols], q
+                )
+                lifted_b = lift_onto_support(
+                    n, support_reference(v), [s - 1 for s in b.symbols], q
+                )
+                assert dist_b(lifted_a, lifted_b) >= dist_b(u, v)

@@ -3,7 +3,8 @@ pairwise oracles, and the code file round trip, over random small codes; the
 stream codec's block path against its pre-table version, over three plans,
 and whole streams with repeated blocks against it block by block;
 the exact search's bit-sliced orbit classes against canonical column tags;
-simulate's kept decisions against its per-trial loop; the shared column index
+the integer program the exact search escalates to against the kernel, over
+random small weight windows; simulate's kept decisions against its per-trial loop; the shared column index
 and bit walk against brute force."""
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from ternary_ecc import decode
+from ternary_ecc import decode, search
 from ternary_ecc.channel import ChannelSpec
 from ternary_ecc.codec import BlockDecodeError, MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
@@ -34,8 +35,13 @@ from ternary_ecc.core import (
     save_code,
 )
 from ternary_ecc.decode import decode_da, decode_ml
-from ternary_ecc.metric import min_dist_b
-from ternary_ecc.search import _orbit_masks
+from ternary_ecc.metric import dist_b, min_dist_b
+from ternary_ecc.search import (
+    _orbit_masks,
+    build_restricted_graph,
+    build_unrestricted_graph,
+    exact_clique,
+)
 
 from oracles import (
     decode_block_trace_reference,
@@ -426,6 +432,48 @@ def test_orbit_classes_match_reference(case):
     words, chosen, pending = case
     classes = _orbit_masks(pending, _columns(words, 3), chosen)
     assert sorted(classes) == sorted(orbit_classes_reference(pending, words, chosen))
+
+
+@st.composite
+def milp_window(draw):
+    """The graph of a random weight window: unrestricted up to n = 4 or
+    restricted up to n = 6. Unrestricted n = 5 is left out: its graph at
+    weights 2..4 and dbmin 4 takes the integer program about 11 s, against
+    about 50 ms in the kernel."""
+    restricted = draw(st.booleans())
+    n = draw(st.integers(1, 6 if restricted else 4))
+    dbmin = draw(st.integers(1, 2 * n))
+    wmin = draw(st.integers(0, n))
+    wmax = draw(st.integers(wmin, n))
+    build = build_restricted_graph if restricted else build_unrestricted_graph
+    return build(n, dbmin, wmin, wmax)
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(milp_window())
+def test_integer_program_matches_the_kernel(graph):
+    # a cap of 10 nodes lets the kernel settle most of these windows itself;
+    # at 0 the root node already passes it, so every search escalates
+    expected = exact_clique(graph)
+    escalated = []
+    milp = search._exact_milp
+
+    def spy(g):
+        escalated.append(g)
+        return milp(g)
+
+    with mock.patch.object(search, "_NODE_CAP", 0), mock.patch.object(
+        search, "_exact_milp", spy
+    ):
+        result = exact_clique(graph)
+    assert escalated == [graph]
+    assert result.exact and result.total_weight == expected.total_weight
+    index = {w: v for v, w in enumerate(graph.vertices)}
+    assert sum(graph.weights[index[w]] for w in result.members) == result.total_weight
+    members = result.members
+    assert all(
+        dist_b(u, v) >= graph.dbmin for i, u in enumerate(members) for v in members[i + 1 :]
+    )
 
 
 @st.composite
