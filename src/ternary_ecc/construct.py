@@ -43,18 +43,13 @@ def lift_onto_support(
     """
     if q < 3:
         raise ValueError(f"target alphabet must be at least 3, got {q}")
+    _check_support(support, n)
     alphabet = range(q - 1)
     word = [0] * n
-    last = -1
     for pos, s in zip(support, symbols, strict=True):
-        if not last < pos < n:
-            raise ValueError(
-                f"support {tuple(support)} is not strictly increasing within 0..{n - 1}"
-            )
         if s not in alphabet:
             raise ValueError(f"symbol {s!r} outside sub-alphabet of size {q - 1}")
         word[pos] = s + 1
-        last = pos
     return Word(q, tuple(word))
 
 
@@ -62,8 +57,21 @@ def lower_from_support(
     symbols: Sequence[int], support: Sequence[int]
 ) -> tuple[ErasureSymbol, ...]:
     """Inverse of lift_onto_support: read the support positions, zero becomes
-    an erasure and s becomes s - 1."""
+    an erasure and s becomes s - 1. The support must be strictly increasing
+    within the word; otherwise ValueError."""
+    _check_support(support, len(symbols))
     return tuple(symbols[pos] - 1 if symbols[pos] else None for pos in support)
+
+
+def _check_support(support: Sequence[int], n: int) -> None:
+    """Refuse, with ValueError, a support not strictly increasing within 0..n-1."""
+    last = -1
+    for pos in support:
+        if not last < pos < n:
+            raise ValueError(
+                f"support {tuple(support)} is not strictly increasing within 0..{n - 1}"
+            )
+        last = pos
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ class Code:
             raise ValueError("minimum distance needs at least two codewords")
         full = (1 << len(words)) - 1
         best = 2 * self.n
-        for j, planes in enumerate(_pairwise_planes([w.symbols for w in words], self.q, cost)):
+        for j, planes in _pairwise_planes([w.symbols for w in words], self.q, cost):
             best = min(best, _least_count(full ^ (1 << j), planes)[1])
             # distinct words cost at least 1 apart
             if best == 1:
@@ -303,15 +303,16 @@ def _at_least(candidates: int, planes: Sequence[int], t: int) -> int:
 
 def _pairwise_planes(
     rows: Sequence[tuple[int, ...]], q: int, cost: str
-) -> Iterator[list[int]]:
-    """Per row, the bit planes of its cost against every row (row j is bit j,
-    plane k holds bit k of each count): "hamming" counts disagreements, and
-    "b" (dist_b) counts non-zero/non-zero ones twice.
+) -> Iterator[tuple[int, list[int]]]:
+    """Per row j, the pair (j, planes): the bit planes of its cost against
+    every row (row j is bit j, plane k holds bit k of each count). "hamming"
+    counts disagreements, and "b" (dist_b) counts non-zero/non-zero ones twice.
 
-    The rows must be distinct, sorted and of one length (ValueError
-    otherwise). The planes after a prefix depend on that prefix alone, so a
-    stack keeps them per coordinate, and each row resumes from the previous
-    row's planes at their common prefix and adds only the coordinates after it.
+    The rows must be distinct and of one length (ValueError otherwise), in
+    any order; they are visited in sorted order. The planes after a prefix
+    depend on that prefix alone, so a stack keeps them per coordinate, and
+    each row resumes from the previous row's planes at their common prefix
+    and adds only the coordinates after it.
     """
     n = len(rows[0]) if rows else 0
     full = (1 << len(rows)) - 1
@@ -326,15 +327,16 @@ def _pairwise_planes(
     # counts are at most 2n, so the planes never need to grow
     stack = [[0] * (2 * n).bit_length()] + [[]] * n
     prev = None
-    for row in rows:
+    for j in sorted(range(len(rows)), key=rows.__getitem__):
+        row = rows[j]
         if len(row) != n:
             raise ValueError("words must be of one length")
         p = 0
         if prev is not None:
             while p < n and prev[p] == row[p]:
                 p += 1
-            if p == n or prev[p] > row[p]:
-                raise ValueError("words must be distinct and in sorted order")
+            if p == n:
+                raise ValueError("words must be distinct")
         for i in range(p, n):
             planes = stack[i].copy()
             ones, twos = adds[i][row[i]]
@@ -348,7 +350,7 @@ def _pairwise_planes(
                 carry &= plane
                 k += 1
             stack[i + 1] = planes
-        yield stack[n]
+        yield j, stack[n]
         prev = row
 
 

@@ -30,7 +30,7 @@ class SearchGraph:
     """Compatibility graph; adjacency rows are bitmasks over vertex indexes.
 
     word_symmetry marks graphs whose vertex set is a full weight window, in
-    sorted order, with adjacency a dist_b threshold and each vertex weight a
+    any order, with adjacency a dist_b threshold and each vertex weight a
     function of its Hamming weight. Coordinate permutations and
     per-coordinate swaps of the non-zero symbols then act on the graph, so
     the exact solver eliminates whole orbits, and an escalation to the
@@ -66,12 +66,14 @@ def _window_graph(
     q: int, n: int, dbmin: int, wmin: int, wmax: int | None, weight_of: Callable[[int], int]
 ) -> SearchGraph:
     """Graph over every q-ary word of length n with Hamming weight in [wmin, wmax]
-    (wmax None: n), in sorted order, joined at dist_b >= dbmin; a vertex
-    weighs weight_of(its Hamming weight). The vertex count is summed only
-    until it passes _MAX_VERTICES, which refuses the graph with
-    BudgetExceededError.
+    (wmax None: n), joined at dist_b >= dbmin; a vertex weighs weight_of(its
+    Hamming weight). The vertex count is summed only until it passes
+    _MAX_VERTICES, which refuses the graph with BudgetExceededError.
     Each weight class is laid out from its supports, so a narrow window of a
-    long length never walks the whole space."""
+    long length never walks the whole space. The vertices come in search
+    order: vertex weight ascending, then Hamming weight descending, then
+    reverse lexicographic order of the words; _branch_and_bound colors and
+    branches in that order."""
     if wmax is None:
         wmax = n
     if not 0 <= wmin <= wmax <= n:
@@ -79,20 +81,23 @@ def _window_graph(
     sizes = (math.comb(n, w) * (q - 1) ** w for w in range(wmin, wmax + 1))
     if any(total > _MAX_VERTICES for total in accumulate(sizes)):
         raise BudgetExceededError(f"the graph exceeds the cap of {_MAX_VERTICES} vertices")
+    # (-vertex weight, Hamming weight, symbols) descending is the search order
     rows = sorted(
-        (symbols, weight_of(w))
-        for w in range(wmin, wmax + 1)
-        for support in combinations(range(n), w)
-        for symbols in product(*(range(1, q) if i in support else (0,) for i in range(n)))
+        (
+            (-weight_of(w), w, symbols)
+            for w in range(wmin, wmax + 1)
+            for support in combinations(range(n), w)
+            for symbols in product(*(range(1, q) if i in support else (0,) for i in range(n)))
+        ),
+        reverse=True,
     )
     lo, full = max(dbmin, 1), (1 << len(rows)) - 1
-    adj = tuple(
-        _at_least(full, planes, lo)
-        for planes in _pairwise_planes([symbols for symbols, _ in rows], q, "b")
-    )
-    words = tuple(Word(q, symbols) for symbols, _ in rows)
-    weights = tuple(w for _, w in rows)
-    return SearchGraph(words, weights, adj, dbmin, word_symmetry=True)
+    adj = [0] * len(rows)
+    for j, planes in _pairwise_planes([symbols for _, _, symbols in rows], q, "b"):
+        adj[j] = _at_least(full, planes, lo)
+    words = tuple(Word(q, symbols) for _, _, symbols in rows)
+    weights = tuple(-weight for weight, _, _ in rows)
+    return SearchGraph(words, weights, tuple(adj), dbmin, word_symmetry=True)
 
 
 def build_unrestricted_graph(
@@ -317,11 +322,10 @@ def _ball_rows(graph: SearchGraph) -> list[int]:
         return []
     radius = correction_capability(graph.dbmin)
     full = (1 << len(graph.vertices)) - 1
-    symbols = [w.symbols for w in graph.vertices]
-    return [
-        full & ~_at_least(full, planes, radius + 1)
-        for planes in _pairwise_planes(symbols, 3, "b")
-    ]
+    balls = [0] * len(graph.vertices)
+    for j, planes in _pairwise_planes([w.symbols for w in graph.vertices], 3, "b"):
+        balls[j] = full & ~_at_least(full, planes, radius + 1)
+    return balls
 
 
 def _exact_milp(graph: SearchGraph) -> tuple[int, int]:
@@ -393,45 +397,41 @@ def _branch_and_bound(
 ) -> tuple[int, int]:
     """Maximum-weight clique by bitset branch and bound; returns (weight, mask).
 
-    One root call over every vertex. Each node colors its candidate set
-    greedily; a clique takes at most one
-    vertex per color class, so the running sum of per-class maximum weights
-    bounds each prefix of the coloring, and only vertices whose prefix bound
-    exceeds the incumbent gap are branched, last color first. With unit
-    weights a vertex about to open a color above the gap is first recolored
-    into a lower class (Tomita-style). No memo of candidate sets is kept: on
-    these graphs an exact repeat is rare. The incumbent starts as the empty
-    clique, so the first dive from the root sets the first real one. Candidates
-    colored one per class form a clique and are taken whole, not one level each.
+    One root node over every vertex, in the graph's vertex order, which
+    _window_graph lays out for this search. Each node colors its candidate
+    set greedily, lowest vertex first; a clique takes at most one vertex per
+    color class, so the running sum of per-class maximum weights (the class
+    count with unit weights) bounds each prefix of the coloring, and only
+    vertices whose prefix bound exceeds the incumbent gap are branched, last
+    color first. No memo of candidate sets is kept: on these graphs an exact
+    repeat is rare. The incumbent starts as the empty clique, so the first
+    dive from the root sets the first real one. Candidates colored one per
+    class form a clique and are taken whole, not one level each.
 
     A branched vertex is then eliminated from its node's candidates. With
     symbols the graph must be word-symmetric, and near the root the whole
     orbit of the vertex under the full stabilizer of the growing clique goes
     with it (see _orbit_masks), which keeps every candidate set invariant
     under that stabilizer; a subtree whose node drops back to per-vertex
-    elimination stays plain. Raises _NodeCapReached once _NODE_CAP nodes are
-    spent.
+    elimination stays plain. The open nodes live on an explicit stack, so a
+    dive is as deep as the largest clique, whatever the interpreter's
+    recursion limit. Raises _NodeCapReached once _NODE_CAP nodes are spent.
     """
-    v_count = len(adj)
-    best_weight = best_mask = 0
-    recolor = all(w == 1 for w in weights)
+    unit = all(w == 1 for w in weights)
     non_adj = _non_neighbours(adj)
     node_cap = _NODE_CAP
-    nodes = 0
     symbol_masks = _columns(symbols, 3) if symbols is not None else None
-
-    def expand(
-        clique_mask: int,
-        clique_weight: int,
-        candidates: int,
-        chosen: tuple[tuple[int, ...], ...] | None,
-    ) -> None:
-        # chosen holds the clique's words while candidates stay orbit-invariant
-        nonlocal best_weight, best_mask, nodes
+    best_weight = best_mask = nodes = 0
+    # one frame per open node: its clique mask and weight, candidates, chosen
+    # words, orbits, and the branch vertices and bounds still to try, last first
+    stack: list[list] = []
+    clique_mask, clique_weight, candidates = 0, 0, (1 << len(adj)) - 1
+    # chosen holds the clique's words while candidates stay orbit-invariant
+    chosen: tuple[tuple[int, ...], ...] | None = None if symbols is None else ()
+    while True:
         nodes += 1
         if nodes > node_cap:
             raise _NodeCapReached
-        gap = best_weight - clique_weight
         classes: list[int] = []
         remaining = candidates
         while remaining:
@@ -442,90 +442,64 @@ def _branch_and_bound(
                 class_mask |= low
                 pool &= non_adj[low.bit_length() - 1]
             remaining &= ~class_mask
-            if recolor and len(classes) >= gap > 0:
-                # move each vertex into a lower class, directly or by swapping
-                # out its single neighbor there; classes below the gap never branch
-                kept = class_mask
-                for v in _iter_bits(class_mask):
-                    bit = 1 << v
-                    av = adj[v]
-                    for c1 in range(gap):
-                        overlap = av & classes[c1]
-                        if overlap and (overlap & (overlap - 1)) == 0:
-                            w = overlap.bit_length() - 1
-                            aw = adj[w]
-                            for c2 in range(gap):
-                                if c2 != c1 and not (aw & classes[c2]):
-                                    classes[c1] = (classes[c1] & ~overlap) | bit
-                                    classes[c2] |= overlap
-                                    kept &= ~bit
-                                    break
-                            else:
-                                continue
-                            break
-                        if not overlap:
-                            classes[c1] |= bit
-                            kept &= ~bit
-                            break
-                class_mask = kept
-                if not class_mask:
-                    continue
             classes.append(class_mask)
         if len(classes) == candidates.bit_count():
-            # one candidate per class, none moved: each was adjacent to all later ones
+            # one candidate per class: each was adjacent to all later ones
             weight = clique_weight + sum(map(weights.__getitem__, _iter_bits(candidates)))
             if weight > best_weight:
                 best_weight, best_mask = weight, clique_mask | candidates
-            return
-        branch_v: list[int] = []
-        branch_bound: list[int] = []
-        bound = 0
-        for class_mask in classes:
-            bound += 1 if recolor else max(map(weights.__getitem__, _iter_bits(class_mask)))
-            if bound > gap:
-                for v in _iter_bits(class_mask):
-                    branch_v.append(v)
-                    branch_bound.append(bound)
-        # the branch lists are all the recursion needs: drop the classes for deep dives
-        del classes
-        # stabilizers are large only near the root; deeper nodes would pay the
-        # grouping cost for all-singleton orbits
-        orbits = (
-            _orbit_masks(candidates, symbol_masks, chosen)
-            if chosen is not None
-            and len(chosen) < _ORBIT_DEPTH
-            and candidates.bit_count() > 16
-            else None
-        )
-        for i in range(len(branch_v) - 1, -1, -1):
-            if clique_weight + branch_bound[i] <= best_weight:
-                break
-            v = branch_v[i]
-            bit = 1 << v
-            if not (candidates & bit):
-                continue
-            expand(
-                clique_mask | bit,
-                clique_weight + weights[v],
-                candidates & adj[v],
-                chosen + (symbols[v],) if orbits else None,
+        else:
+            gap = best_weight - clique_weight
+            branch_v: list[int] = []
+            branch_bound: list[int] = []
+            bound = 0
+            for class_mask in classes:
+                bound += 1 if unit else max(map(weights.__getitem__, _iter_bits(class_mask)))
+                if bound > gap:
+                    for v in _iter_bits(class_mask):
+                        branch_v.append(v)
+                        branch_bound.append(bound)
+            # stabilizers are large only near the root; deeper nodes would pay
+            # the grouping cost for all-singleton orbits
+            orbits = (
+                _orbit_masks(candidates, symbol_masks, chosen)
+                if chosen is not None
+                and len(chosen) < _ORBIT_DEPTH
+                and candidates.bit_count() > 16
+                else None
             )
-            candidates &= ~next(c for c in orbits if c & bit) if orbits else ~bit
-
-    try:
-        expand(0, 0, (1 << v_count) - 1, None if symbols is None else ())
-        return best_weight, best_mask
-    finally:
-        # expand reaches itself through its closure cell; unbinding it breaks
-        # that cycle, so the captured state is freed on return instead of
-        # surviving until the next full garbage collection
-        del expand
+            stack.append(
+                [clique_mask, clique_weight, candidates, chosen, orbits, branch_v, branch_bound]
+            )
+        # the next node: the top frame's last branch vertex still among its
+        # candidates, while its bound beats the incumbent
+        while stack:
+            frame = stack[-1]
+            clique_mask, clique_weight, candidates, chosen, orbits, branch_v, branch_bound = frame
+            if not branch_v or clique_weight + branch_bound[-1] <= best_weight:
+                stack.pop()
+                continue
+            v = branch_v.pop()
+            branch_bound.pop()
+            bit = 1 << v
+            if candidates & bit:
+                frame[2] = candidates & ~(
+                    next(c for c in orbits if c & bit) if orbits else bit
+                )
+                break
+        if not stack:
+            return best_weight, best_mask
+        clique_mask |= bit
+        clique_weight += weights[v]
+        candidates &= adj[v]
+        chosen = chosen + (symbols[v],) if orbits else None
 
 
 def exact_clique(graph: SearchGraph) -> CliqueResult:
     """Maximum(-weight) clique by branch and bound. Deterministic.
 
-    One _branch_and_bound root call in vertex order, from the empty clique.
+    One _branch_and_bound root node in vertex order (for a window graph, the
+    search order _window_graph lays out), from the empty clique.
     A word-symmetric graph lends it the vertex words for orbit elimination;
     such a graph must weight its vertices by Hamming weight alone (ValueError
     otherwise). Past _NODE_CAP nodes the search escalates to the integer

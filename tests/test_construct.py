@@ -162,6 +162,19 @@ class TestLiftLower:
         with pytest.raises(ValueError):
             lift_onto_support(n, support, symbols, q)
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            (-1,),  # would read the last symbol
+            (4,),  # past the word
+            (2, 0),  # decreasing: would read out of order
+        ],
+        ids=["negative-position", "position-past-word", "decreasing-support"],
+    )
+    def test_lower_from_support_refuses(self, support):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lower_from_support((0, 2, 1, 0), support)
+
     def test_pattern_roundtrip(self):
         pattern = (1, None, 0, None, 1)
         support, symbols = unerased(pattern)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
@@ -68,12 +69,11 @@ def band_rows(words, lo: int, hi: int | None = None) -> tuple[int, ...]:
     """Rows of lo <= dist_b <= hi (hi None: open) as the graph builder cuts
     them: each word's count planes from _pairwise_planes, read by _at_least."""
     full = (1 << len(words)) - 1
-    rows = []
-    for planes in _pairwise_planes([w.symbols for w in words], words[0].q, "b"):
-        row = _at_least(full, planes, lo)
+    rows = [0] * len(words)
+    for j, planes in _pairwise_planes([w.symbols for w in words], words[0].q, "b"):
+        rows[j] = _at_least(full, planes, lo)
         if hi is not None:
-            row &= ~_at_least(full, planes, hi + 1)
-        rows.append(row)
+            rows[j] &= ~_at_least(full, planes, hi + 1)
     return tuple(rows)
 
 
@@ -107,8 +107,22 @@ class TestGraphBuilders:
         assert len(graph.vertices) == 16
         assert all(0 not in w.symbols for w in graph.vertices)
         graph = build_unrestricted_graph(5, 3, wmin=1, wmax=3)
-        expected = [s for s in product(range(3), repeat=5) if 1 <= 5 - s.count(0) <= 3]
+        window = {s for s in product(range(3), repeat=5) if 1 <= 5 - s.count(0) <= 3}
+        assert {w.symbols for w in graph.vertices} == window
+        # search order: Hamming weight descending, then reverse lexicographic
+        expected = sorted(window, key=lambda s: (5 - s.count(0), s), reverse=True)
         assert [w.symbols for w in graph.vertices] == expected
+        # vertex weight ascending comes first: A(0, 2) = A(1, 2) = 1 share a class
+        graph = build_restricted_graph(5, 3)
+        assert sorted(w.symbols for w in graph.vertices) == list(product(range(2), repeat=5))
+        keys = [
+            (weight, -hamming_weight(w), [-s for s in w.symbols])
+            for w, weight in zip(graph.vertices, graph.weights)
+        ]
+        assert keys == sorted(keys)
+        assert [str(w) for w in graph.vertices[:6]] == [
+            "10000", "01000", "00100", "00010", "00001", "00000"
+        ]
         # a narrow window of a long length is laid out without walking 3^30 words
         graph = build_unrestricted_graph(30, 3, wmax=1)
         assert len(graph.vertices) == 61
@@ -214,11 +228,11 @@ class TestOptimalBinaryCodes:
         # these searches take the orbital path over the binary Hamming graph
         # and decide the inner codes that restricted search writes out
         pinned = {
-            (6, 3): "000111 001010 010001 011100 100100 101001 110010 111111",
-            (7, 3): "0000000 0001101 0010110 0011011 0100011 0101110 0110101 0111000 "
-            "1000111 1001010 1010001 1011100 1100100 1101001 1110010 1111111",
-            (7, 4): "0001110 0010101 0100011 0111000 1001001 1010010 1100100 1111111",
-            (8, 5): "00000011 01110000 10001100 11111111",
+            (6, 3): "000001 001010 010100 011111 100110 101101 110011 111000",
+            (7, 3): "0000001 0001010 0010110 0011101 0100111 0101100 0110000 0111011 "
+            "1000100 1001111 1010011 1011000 1100010 1101001 1110101 1111110",
+            (7, 4): "0000001 0011010 0100110 0111101 1001100 1010111 1101011 1110000",
+            (8, 5): "00000011 01101100 10010100 11111011",
         }
         for (length, dist), words in pinned.items():
             code = optimal_binary_code(length, dist)
@@ -358,8 +372,8 @@ class TestExact:
             assert greedy.total_weight <= exact_clique(graph).total_weight
 
     def test_search_leaves_no_reference_cycles(self):
-        # the kernel's recursive closure must not keep its state alive until a
-        # full collection; warm up first so that imports and memos are settled
+        # the search must not keep its state alive until a full collection;
+        # warm up first so that imports and memos are settled
         cells = [
             (5, 2, "unrestricted"),
             (5, 4, "unrestricted"),
@@ -422,21 +436,43 @@ class TestExact:
     def test_orbit_classes_settle_cells_within_node_budget(
         self, monkeypatch, n, dbmin, cap, size
     ):
-        # classes of the full stabilizer settle these cells in 1,393 and 142
-        # nodes; column-matching classes alone needed 2,426 and 228 (those
-        # two counts with a greedy-seeded incumbent and sphere-cover coloring)
+        # classes of the full stabilizer settle these cells in 232 and 144
+        # nodes in search order (1,393 and 142 in lexicographic order with
+        # recoloring); column-matching classes alone needed 2,426 and 228
+        # (those two counts with a greedy-seeded incumbent and sphere-cover
+        # coloring)
         calls = self._spy_on_milp(monkeypatch)
         monkeypatch.setattr(search, "_NODE_CAP", cap)
         code, result = search_code(n, dbmin, "unrestricted")
         assert result.exact and result.total_weight == code.size == size
         assert calls == []
 
-    def test_clique_of_candidates_is_taken_whole(self):
-        # 1,611 words pairwise at dist_b >= 1: one recursion level per word of
-        # the first dive would pass the interpreter's recursion limit
+    def test_clique_of_candidates_is_taken_whole(self, monkeypatch):
+        # 1,611 words pairwise at dist_b >= 1: the root takes them in its one
+        # node, where a dive of one node per word would pass a cap of 1 and
+        # escalate
+        calls = self._spy_on_milp(monkeypatch)
+        monkeypatch.setattr(search, "_NODE_CAP", 1)
         graph = build_unrestricted_graph(7, 1, wmax=5)
         result = exact_clique(graph)
         assert result.exact and result.total_weight == len(graph.vertices) == 1611
+        assert calls == []
+
+    def test_deep_dive_needs_no_interpreter_stack(self):
+        # the first dive on this cell goes some 170 nodes deep (423 for a
+        # recursive kernel in lexicographic vertex order); open nodes live on
+        # the kernel's own stack, so a limit 60 frames above the caller holds
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            code, result = search_code(7, 2, "unrestricted", wmax=5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sys.getrecursionlimit() == limit
+        assert result.exact and result.total_weight == code.size == 966
 
     @pytest.mark.parametrize("n, dbmin, mode, kernel_calls", [
         (5, 4, "unrestricted", 1),
@@ -469,9 +505,9 @@ class TestExact:
     def test_word_symmetry_needs_weights_by_hamming_weight(self):
         # orbit elimination is sound only if the symmetries keep vertex weights
         graph = build_restricted_graph(4, 3)
-        assert graph.vertices[1] == Word(2, (0, 0, 0, 1))
+        v = graph.vertices.index(Word(2, (0, 0, 0, 1)))
         weights = list(graph.weights)
-        weights[1] += 1
+        weights[v] += 1
         skewed = replace(graph, weights=tuple(weights))
         with pytest.raises(ValueError, match="Hamming weight"):
             exact_clique(skewed)
