@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "bounds": (
         "correction_capability",
+        "pmax",
         "sphere_packing_bound",
         "sphere_volume_exact",
         "sphere_volume_min",
@@ -53,7 +54,6 @@ _PUBLIC = {
         "dist_ml",
         "likelihood_bounds",
         "min_dist_b",
-        "pmax",
     ),
     "search": (
         "BudgetExceededError",

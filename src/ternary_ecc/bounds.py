@@ -1,14 +1,17 @@
-"""Sphere volumes under dist_b, the correction radius and the sphere-packing bound.
+"""Sphere volumes under dist_b, the correction radius, the sphere-packing bound
+and pmax, the largest error probability at which dist_a decoding is maximum
+likelihood.
 
 The ternary space under dist_b is a hypercube centered on the all-zero word:
 spheres shrink as their center moves toward the vertices (maximum-weight
 words), so the packing bound divides by the volume of a vertex-centered
-sphere. Everything here is exact integer arithmetic.
+sphere. Volumes and bounds are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 _MAX_LENGTH = 30_000  # longest code length the volume and bound accept
+_PMAX_TOL = 1e-12  # width at which the pmax bisection stops
 
 
 def correction_capability(dbmin: int) -> int:
@@ -16,6 +19,32 @@ def correction_capability(dbmin: int) -> int:
     if dbmin < 1:
         raise ValueError(f"minimum distance must be >= 1, got {dbmin}")
     return (dbmin - 1) // 2
+
+
+def pmax(n: int) -> float:
+    """Largest p for which dist_a decoding is maximum likelihood at length n.
+
+    For n <= 2 the threshold is 2/3. Otherwise it is the unique root in
+    (0, 2/3) of (p/2)/(1-p) = ((1-p)/(1-p/2))^floor((n-1)/2), found by
+    bisection: the left side grows with p while the right side falls.
+    """
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    exponent = (n - 1) // 2
+    if exponent == 0:
+        return 2.0 / 3.0
+
+    def gap(p: float) -> float:
+        return (p / 2.0) / (1.0 - p) - ((1.0 - p) / (1.0 - p / 2.0)) ** exponent
+
+    lo, hi = 0.0, 2.0 / 3.0
+    while hi - lo > _PMAX_TOL:
+        mid = (lo + hi) / 2.0
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def sphere_volume_exact(n: int, w: int, r: int) -> int:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import Word
+from ._record import Record
 
 # largest alphabet capacity takes; it bounds no work (the closed form costs
 # the same at any q) and keeps the refusals capacity --q has always given
@@ -22,30 +21,39 @@ _MAX_Q = 128
 _MAX_SWEEP_STEPS = 20_000  # most grid points capacity_sweep takes
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Record):
     """Alphabet size q >= 3 and error probability p with 0 <= p <= (q-1)/q."""
 
-    q: int
-    p: float
+    __slots__ = ("q", "p")
 
-    def __post_init__(self) -> None:
-        if self.q < 3:
-            raise ValueError(f"channel alphabet must be at least 3, got {self.q}")
-        limit = (self.q - 1) / self.q
-        if not 0.0 <= self.p <= limit:
-            raise ValueError(f"error probability {self.p} outside [0, {limit}]")
+    def __init__(self, q: int, p: float) -> None:
+        if q < 3:
+            raise ValueError(f"channel alphabet must be at least 3, got {q}")
+        limit = (q - 1) / q
+        if not 0.0 <= p <= limit:
+            raise ValueError(f"error probability {p} outside [0, {limit}]")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(Record):
     """Capacity in base-q units with the maximizing zero-symbol probability."""
 
-    capacity_trits: float
-    p0_star: float
-    lam: float | None = None
-    method: str = "closed-form"
-    log_base: int = 3
+    __slots__ = ("capacity_trits", "p0_star", "lam", "method", "log_base")
+
+    def __init__(
+        self,
+        capacity_trits: float,
+        p0_star: float,
+        lam: float | None = None,
+        method: str = "closed-form",
+        log_base: int = 3,
+    ) -> None:
+        object.__setattr__(self, "capacity_trits", capacity_trits)
+        object.__setattr__(self, "p0_star", p0_star)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "log_base", log_base)
 
     @property
     def capacity_bits(self) -> float:
@@ -80,8 +88,9 @@ def split_seed(seed: int, index: int) -> int:
 
 @lru_cache(maxsize=64)
 def _cumulative_rows(spec: ChannelSpec) -> tuple[tuple[float, ...], ...]:
-    """Running sums of each transition row, added left to right."""
-    return tuple(tuple(accumulate(row)) for row in transition_matrix(spec))
+    """Running sums of each transition row, added left to right, without the
+    last sum: a draw at or above every kept sum is output q - 1."""
+    return tuple(tuple(accumulate(row))[:-1] for row in transition_matrix(spec))
 
 
 def transmit(spec: ChannelSpec, x: Word, rng: int | random.Random) -> Word:
@@ -90,18 +99,21 @@ def transmit(spec: ChannelSpec, x: Word, rng: int | random.Random) -> Word:
     A draw u becomes the first output whose running row sum exceeds u, or
     q - 1 when rounding leaves the last sum at or below u.
     """
+    from .core import Word  # here, so that capacity never loads core
+
     if x.q != spec.q:
         raise ValueError(f"word alphabet {x.q} differs from channel alphabet {spec.q}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    return Word(spec.q, _draw_symbols(spec, x.symbols, rng.random))
+    return Word(spec.q, _draw_symbols(_cumulative_rows(spec), x.symbols, rng.random))
 
 
-def _draw_symbols(spec: ChannelSpec, symbols: tuple[int, ...], draw) -> tuple[int, ...]:
-    """The received symbols for these sent ones, one draw() per symbol in order."""
-    rows = _cumulative_rows(spec)
-    last = spec.q - 1
-    return tuple(min(bisect_right(rows[s], draw()), last) for s in symbols)
+def _draw_symbols(
+    rows: tuple[tuple[float, ...], ...], symbols: tuple[int, ...], draw
+) -> tuple[int, ...]:
+    """The received symbols for these sent ones, one draw() per symbol in
+    order, from the rows of _cumulative_rows."""
+    return tuple(bisect_right(rows[s], draw()) for s in symbols)
 
 
 def entropy_trits(t: float) -> float:

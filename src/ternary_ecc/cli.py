@@ -3,13 +3,13 @@
 Scalar queries print bare numbers, sweeps print CSV, and compound results
 print JSON with sorted keys. Every randomized subcommand requires an explicit
 seed, so identical invocations over identical files produce identical bytes.
-Each subcommand imports the modules it runs, so a call loads no others.
+Each subcommand imports the modules it runs, json included, so a call loads
+no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -17,16 +17,22 @@ from pathlib import Path
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True))
 
 
 def _fail(message: str) -> int:
+    import json
+
     print(json.dumps({"error": message}), file=sys.stderr)
     return 1
 
 
 def _load_plan(path: str | Path):
     """Read a plan file into a ConstructionPlan, loading its code files."""
+    import json
+
     from .construct import ConstructionPlan
     from .core import load_code
 
@@ -88,7 +94,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_pmax(args: argparse.Namespace) -> int:
-    from .metric import pmax
+    from .bounds import pmax
 
     print(f"{pmax(args.n):.10f}")
     return 0

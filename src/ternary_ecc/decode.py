@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .channel import ChannelSpec, _draw_symbols, split_seed
+from ._record import Record
+from .channel import ChannelSpec, _cumulative_rows, _draw_symbols, split_seed
 from .core import Code, Word, _least_count
 from .metric import INF, _check_ml, _ml_cost
 
@@ -14,17 +14,21 @@ _DECISION_CAP = 1 << 16  # decisions simulate keeps per call
 _MAX_TRIALS = 1_000_000  # trials simulate runs per call (about 12 s on [5,27,3])
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(Record):
     """Outcome of a codebook scan: every minimizer, plus the tie-break winner.
 
     When every codeword sits at infinite distance the received word is
     unreachable from the whole codebook; chosen is None and minimizers empty.
     """
 
-    chosen: Word | None
-    minimizers: frozenset[Word]
-    distance: float
+    __slots__ = ("chosen", "minimizers", "distance")
+
+    def __init__(
+        self, chosen: Word | None, minimizers: frozenset[Word], distance: float
+    ) -> None:
+        object.__setattr__(self, "chosen", chosen)
+        object.__setattr__(self, "minimizers", minimizers)
+        object.__setattr__(self, "distance", distance)
 
     @property
     def undecodable(self) -> bool:
@@ -74,16 +78,20 @@ def decode_ml(code: Code, received: Word, p: float) -> DecodeResult:
     return _result(code, minimizers, best)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Counts from a Monte Carlo word-error run; correct + errors + undecodable = trials."""
 
-    trials: int
-    word_errors: int
-    undecodable: int
-    p: float
-    decoder: str
-    seed: int
+    __slots__ = ("trials", "word_errors", "undecodable", "p", "decoder", "seed")
+
+    def __init__(
+        self, trials: int, word_errors: int, undecodable: int, p: float, decoder: str, seed: int
+    ) -> None:
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "word_errors", word_errors)
+        object.__setattr__(self, "undecodable", undecodable)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "decoder", decoder)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def correct(self) -> int:
@@ -121,6 +129,7 @@ def simulate(
     if code.q != spec.q:
         raise ValueError("code and channel alphabets differ")
     words = [word.symbols for word in code.sorted_words()]
+    rows = _cumulative_rows(spec)
     # received symbols -> symbols of the chosen codeword, None when undecodable
     decisions: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     rng = random.Random()
@@ -129,7 +138,7 @@ def simulate(
     for t in range(trials):
         rng.seed(split_seed(seed, t))
         sent = words[rng.randrange(len(words))]
-        received = _draw_symbols(spec, sent, rng.random)
+        received = _draw_symbols(rows, sent, rng.random)
         try:
             chosen = decisions[received]
         except KeyError:

@@ -15,24 +15,26 @@ Three distances appear throughout the toolkit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bounds import correction_capability  # re-exported; bounds imports no module of ours
+from ._record import Record
+# re-exported; bounds imports no module of ours
+from .bounds import correction_capability, pmax
 from .core import Code, Word, _check_compatible
 
 INF = math.inf
-_PMAX_TOL = 1e-12  # width at which the pmax bisection stops
 
 
-@dataclass(frozen=True)
-class AgreementProfile:
+class AgreementProfile(Record):
     """Position counts: matching zeros, matching non-zeros, zero-involved
     disagreements, and disagreements between distinct non-zero symbols."""
 
-    s0: int
-    s1: int
-    s2: int
-    s3: int
+    __slots__ = ("s0", "s1", "s2", "s3")
+
+    def __init__(self, s0: int, s1: int, s2: int, s3: int) -> None:
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "s3", s3)
 
     @property
     def n(self) -> int:
@@ -107,38 +109,14 @@ def min_dist_b(code: Code) -> int:
     return code._min_count("b")
 
 
-def pmax(n: int) -> float:
-    """Largest p for which dist_a decoding is maximum likelihood at length n.
-
-    For n <= 2 the threshold is 2/3. Otherwise it is the unique root in
-    (0, 2/3) of (p/2)/(1-p) = ((1-p)/(1-p/2))^floor((n-1)/2), found by
-    bisection: the left side grows with p while the right side falls.
-    """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    exponent = (n - 1) // 2
-    if exponent == 0:
-        return 2.0 / 3.0
-
-    def gap(p: float) -> float:
-        return (p / 2.0) / (1.0 - p) - ((1.0 - p) / (1.0 - p / 2.0)) ** exponent
-
-    lo, hi = 0.0, 2.0 / 3.0
-    while hi - lo > _PMAX_TOL:
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-@dataclass(frozen=True)
-class LikelihoodBounds:
+class LikelihoodBounds(Record):
     """Extreme transition probabilities over words at a fixed dist_a from y."""
 
-    lower: float
-    upper: float
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: float, upper: float) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def likelihood_bounds(n: int, w_y: int, d: int, p: float) -> LikelihoodBounds:

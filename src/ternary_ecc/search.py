@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from typing import Callable, Sequence
 
+from ._record import Record
 from .bounds import correction_capability
 from .construct import ConstructionPlan, build_code
 from .core import Code, Word, _at_least, _columns, _iter_bits, _pairwise_planes, hamming_weight
@@ -25,8 +25,7 @@ class BudgetExceededError(RuntimeError):
     """The requested graph or search is larger than its budget."""
 
 
-@dataclass(frozen=True)
-class SearchGraph:
+class SearchGraph(Record):
     """Compatibility graph; adjacency rows are bitmasks over vertex indexes.
 
     word_symmetry marks graphs whose vertex set is a full weight window, in
@@ -37,25 +36,44 @@ class SearchGraph:
     integer program takes the metric balls as rows.
     """
 
-    vertices: tuple[Word, ...]
-    weights: tuple[int, ...]
-    adj: tuple[int, ...]
-    dbmin: int
-    word_symmetry: bool = False
+    __slots__ = ("vertices", "weights", "adj", "dbmin", "word_symmetry")
+
+    def __init__(
+        self,
+        vertices: tuple[Word, ...],
+        weights: tuple[int, ...],
+        adj: tuple[int, ...],
+        dbmin: int,
+        word_symmetry: bool = False,
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "dbmin", dbmin)
+        object.__setattr__(self, "word_symmetry", word_symmetry)
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(Record):
     """A clique and its weighted size; exact marks exhaustively proven optima."""
 
-    members: tuple[Word, ...]
-    total_weight: int
-    exact: bool
-    seed: int | None = None
-    iterations: int | None = None
+    __slots__ = ("members", "total_weight", "exact", "seed", "iterations")
+
+    def __init__(
+        self,
+        members: tuple[Word, ...],
+        total_weight: int,
+        exact: bool,
+        seed: int | None = None,
+        iterations: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "total_weight", total_weight)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "iterations", iterations)
 
     @property
     def size(self) -> int:

@@ -698,8 +698,8 @@ def _run_fresh(tmp_path, args: list[str]) -> subprocess.CompletedProcess:
 
 def _loaded_modules(tmp_path, argv: list[str]) -> tuple[int, set[str]]:
     """Run the CLI (or, without arguments, only the package import) in a fresh
-    interpreter; return its exit status and which of numpy, scipy and the
-    ternary_ecc submodules (by their short names) it loaded."""
+    interpreter; return its exit status and which of numpy, scipy, dataclasses
+    and the ternary_ecc submodules (by their short names) it loaded."""
     probe = (
         "import contextlib, io, sys\n"
         "import ternary_ecc\n"
@@ -709,7 +709,7 @@ def _loaded_modules(tmp_path, argv: list[str]) -> tuple[int, set[str]]:
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        status = main(sys.argv[1:])\n"
         "ours = [m.split('.')[1] for m in sys.modules if m.startswith('ternary_ecc.')]\n"
-        "print(status, *sorted({'numpy', 'scipy'} & set(sys.modules)), *ours)\n"
+        "print(status, *sorted({'numpy', 'scipy', 'dataclasses'} & set(sys.modules)), *ours)\n"
     )
     done = _run_fresh(tmp_path, ["-c", probe, *argv])
     assert done.returncode == 0, done.stderr
@@ -728,10 +728,10 @@ class TestImportFootprint:
             ([], None),  # the bare package import loads no submodule
             (["bound", "--table", "--n-list", "8,16", "--d-list", "2,4,8"],
              coding | {"channel", "core", "metric"}),
-            (["pmax", "--n", "3"], coding | {"channel"}),
+            (["pmax", "--n", "3"], coding | {"channel", "core", "metric"}),
             (["mindist", "--code", code], coding | {"channel"}),
             (["verify", "--code", code, "--d", "3"], coding | {"channel"}),
-            (["capacity", "--p", "0.2"], coding),
+            (["capacity", "--p", "0.2"], coding | {"core"}),
         ]
         for argv, unwanted in avoided:
             status, loaded = _loaded_modules(tmp_path, argv)
@@ -739,7 +739,9 @@ class TestImportFootprint:
             if unwanted is None:
                 assert loaded == set()
             else:
-                assert "cli" in loaded and not loaded & unwanted, (argv, loaded)
+                # no command loads dataclasses: the records build on _record
+                assert "cli" in loaded, argv
+                assert not loaded & (unwanted | {"dataclasses"}), (argv, loaded)
 
     def test_run_as_a_module_without_warnings(self, tmp_path):
         # runpy warns when the package import has loaded cli already
@@ -787,7 +789,7 @@ class TestImportFootprint:
         ]
         for argv in commands:
             status, loaded = _loaded_modules(tmp_path, argv)
-            assert status == 0 and not loaded & _HEAVY, argv
+            assert status == 0 and not loaded & (_HEAVY | {"dataclasses"}), argv
 
     def test_searches_without_escalation_load_neither(self, tmp_path):
         commands = [
@@ -800,4 +802,4 @@ class TestImportFootprint:
         ]
         for argv in commands:
             status, loaded = _loaded_modules(tmp_path, argv)
-            assert status == 0 and not loaded & _HEAVY, argv
+            assert status == 0 and not loaded & (_HEAVY | {"dataclasses"}), argv

@@ -40,6 +40,15 @@ class TestWord:
         with pytest.raises(ValueError):
             Word(1, (0,))
 
+    def test_bool_symbols_refused(self):
+        # save_code would write such a word as 'TrueFalseTrue'
+        with pytest.raises(ValueError, match="True"):
+            Word(2, (True, False, True))
+        with pytest.raises(ValueError):
+            Word(3, (0, False))
+        with pytest.raises(ValueError):
+            Word(3, (1.0,))
+
     def test_roundtrip_string(self):
         word = w("20010")
         assert str(word) == "20010"

@@ -5,14 +5,16 @@ and whole streams with repeated blocks against it block by block;
 the exact search's bit-sliced orbit classes against canonical column tags;
 the integer program the exact search escalates to against the kernel, over
 random small weight windows; simulate's kept decisions against its per-trial loop; the shared column index
-and bit walk against brute force."""
+and bit walk against brute force; the channel's draw from truncated running
+sums against the clamped draw from full ones."""
 
 from __future__ import annotations
 
 import io
 import math
 import random
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 from unittest import mock
 
 import pytest
@@ -21,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from ternary_ecc import decode, search
-from ternary_ecc.channel import ChannelSpec
+from ternary_ecc.channel import ChannelSpec, _cumulative_rows, _draw_symbols, transition_matrix
 from ternary_ecc.codec import BlockDecodeError, MessageStream, StreamCodec, strip_padding
 from ternary_ecc.core import (
     Code,
@@ -567,3 +569,29 @@ def test_simulate_matches_reference(case):
     for cap in (0, 1):
         with mock.patch.object(decode, "_DECISION_CAP", cap):
             assert _simulate_outcome(decode.simulate, *case) == reference
+
+
+@st.composite
+def draw_at_a_cut(draw):
+    """A channel with q in {3, 4, 5, 7, 16, 128}, a sent symbol, that row's
+    full running sums, and a draw at one of those sums, at a float neighbour
+    of one, or anywhere in [0, 1)."""
+    q = draw(st.sampled_from((3, 4, 5, 7, 16, 128)))
+    spec = ChannelSpec(q, draw(st.floats(0.0, (q - 1) / q)))
+    sent = draw(st.integers(0, q - 1))
+    row = tuple(accumulate(transition_matrix(spec)[sent]))
+    cuts = [
+        u for cut in row for u in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, 2.0))
+    ]
+    u = draw(st.one_of(st.sampled_from(cuts), st.floats(0.0, 1.0, exclude_max=True)))
+    return spec, sent, row, u
+
+
+@SETTINGS
+@hypothesis.given(draw_at_a_cut())
+def test_truncated_row_draw_matches_the_clamped_draw(case):
+    spec, sent, row, u = case
+    clamped = min(bisect_right(row, u), spec.q - 1)
+    rows = _cumulative_rows(spec)
+    assert rows[sent] == row[:-1]
+    assert _draw_symbols(rows, (sent,), lambda: u) == (clamped,)

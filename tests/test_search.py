@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import random
 import sys
-from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -292,7 +291,7 @@ class TestGreedy:
             v_count = rng.randrange(1, 60)
             base = random_graph(rng, v_count, rng.uniform(0.1, 0.9))
             weights = tuple(rng.randrange(1, 6) for _ in range(v_count))
-            graphs.append(replace(base, weights=weights))
+            graphs.append(SearchGraph(base.vertices, weights, base.adj, base.dbmin))
         return graphs
 
     @pytest.mark.parametrize(
@@ -355,7 +354,7 @@ class TestExact:
             v_count = rng.randrange(4, 12)
             base = random_graph(rng, v_count, rng.uniform(0.2, 0.9))
             weights = tuple(rng.randrange(1, 9) for _ in range(v_count))
-            graph = replace(base, weights=weights)
+            graph = SearchGraph(base.vertices, weights, base.adj, base.dbmin)
             adjacency = [
                 [bool(graph.adj[a] >> b & 1) for b in range(v_count)]
                 for a in range(v_count)
@@ -416,7 +415,8 @@ class TestExact:
         assert exact_clique(graph).total_weight == 16
         calls = self._spy_on_milp(monkeypatch)
         monkeypatch.setattr(search, "_NODE_CAP", 10)
-        for copy in (graph, replace(graph, word_symmetry=False)):
+        plain = SearchGraph(graph.vertices, graph.weights, graph.adj, graph.dbmin)
+        for copy in (graph, plain):
             result = exact_clique(copy)
             assert result.exact and result.total_weight == 16
             assert min_hamming_distance(Code(2, 7, frozenset(result.members))) >= 3
@@ -508,10 +508,12 @@ class TestExact:
         v = graph.vertices.index(Word(2, (0, 0, 0, 1)))
         weights = list(graph.weights)
         weights[v] += 1
-        skewed = replace(graph, weights=tuple(weights))
+        skewed = SearchGraph(
+            graph.vertices, tuple(weights), graph.adj, graph.dbmin, word_symmetry=True
+        )
         with pytest.raises(ValueError, match="Hamming weight"):
             exact_clique(skewed)
-        plain = exact_clique(replace(skewed, word_symmetry=False))
+        plain = exact_clique(SearchGraph(graph.vertices, tuple(weights), graph.adj, graph.dbmin))
         assert plain.total_weight >= exact_clique(graph).total_weight
 
     def test_milp_time_budget(self, monkeypatch):
@@ -539,7 +541,9 @@ class TestExact:
         ]
         for graph in graphs:
             result = exact_clique(graph)
-            plain = exact_clique(replace(graph, word_symmetry=False))
+            plain = exact_clique(
+                SearchGraph(graph.vertices, graph.weights, graph.adj, graph.dbmin)
+            )
             assert result.exact and plain.exact
             assert result.total_weight == plain.total_weight
             index = {w: i for i, w in enumerate(graph.vertices)}
@@ -560,7 +564,7 @@ class TestExact:
                 if weighted
                 else base.weights
             )
-            graph = replace(base, weights=weights)
+            graph = SearchGraph(base.vertices, weights, base.adj, base.dbmin)
             oracle = nx.Graph()
             for v in range(v_count):
                 oracle.add_node(v, weight=weights[v])
@@ -589,7 +593,7 @@ class TestExact:
             assert exact_clique(graph).total_weight == size
             graphs.append(graph)
         for graph in graphs:
-            plain = replace(graph, word_symmetry=False)
+            plain = SearchGraph(graph.vertices, graph.weights, graph.adj, graph.dbmin)
             assert (
                 exact_clique(graph).total_weight == exact_clique(plain).total_weight
             )
