@@ -6,20 +6,38 @@ from operator import attrgetter
 class Record:
     """Immutable record whose fields are the public names in __slots__.
 
-    A subclass lists its fields in __slots__, in the order its __init__ takes
-    them, and sets each once there with object.__setattr__. Slots with a
-    leading underscore are caches: they stay out of equality, hashing, repr
-    and pickling. Records compare and hash by the tuple of their field
-    values, and pickle and copy by calling the class with those values, so
-    each copy passes the class's validation again.
+    A subclass declares its fields once, in __slots__, in the order its
+    constructor takes them. The one __init__ here binds positional and
+    keyword arguments to them as a function with those parameters would; a
+    field left out takes its value from the class's _defaults table, which
+    names trailing fields only. A subclass that validates its arguments
+    keeps an __init__ of its own that checks them and then calls this one.
+    Slots with a leading underscore are caches: they stay out of equality,
+    hashing, repr and pickling. Records compare and hash by the tuple of
+    their field values, and pickle and copy by calling the class with those
+    values, so each copy passes the class's validation again.
     """
 
     __slots__ = ()
+    _defaults: dict = {}  # field name -> value taken when the field is left out
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+        # each slot's own setter writes past __setattr__, faster than object.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        setters, fields = self._setters, self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            values = {**self._defaults, **kwargs}
+            if len(args) > len(fields) or kwargs.keys() - rest or set(rest) - values.keys():
+                raise TypeError(f"{type(self).__qualname__}{fields} cannot take {args}, {kwargs}")
+            args += tuple(map(values.__getitem__, rest))
+        for setter, value in zip(setters, args):
+            setter(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

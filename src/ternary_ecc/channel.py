@@ -32,28 +32,15 @@ class ChannelSpec(Record):
         limit = (q - 1) / q
         if not 0.0 <= p <= limit:
             raise ValueError(f"error probability {p} outside [0, {limit}]")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        super().__init__(q, p)
 
 
 class CapacityResult(Record):
     """Capacity in base-q units with the maximizing zero-symbol probability."""
 
-    __slots__ = ("capacity_trits", "p0_star", "lam", "method", "log_base")
-
-    def __init__(
-        self,
-        capacity_trits: float,
-        p0_star: float,
-        lam: float | None = None,
-        method: str = "closed-form",
-        log_base: int = 3,
-    ) -> None:
-        object.__setattr__(self, "capacity_trits", capacity_trits)
-        object.__setattr__(self, "p0_star", p0_star)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "log_base", log_base)
+    __slots__ = ("capacity_trits", "p0_star", "lam", "log_base")
+    _defaults = {"lam": None, "log_base": 3}
+    method = "closed-form"  # every capacity here comes from the closed form
 
     @property
     def capacity_bits(self) -> float:

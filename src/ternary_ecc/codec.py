@@ -79,36 +79,11 @@ class BlockTrace(Record):
 
     __slots__ = ("u1", "x1_bar", "u2", "x2_bar", "x")
 
-    def __init__(self, u1: Bits, x1_bar: Word, u2: Bits, x2_bar: Word, x: Word) -> None:
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "x1_bar", x1_bar)
-        object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "x2_bar", x2_bar)
-        object.__setattr__(self, "x", x)
-
 
 class DecodeTrace(Record):
     """Intermediate values of a block decode, for diagnostics and verification."""
 
     __slots__ = ("y1_bar", "x1_hat", "u1_hat", "y2_bar", "x2_hat", "u2_hat", "x_hat")
-
-    def __init__(
-        self,
-        y1_bar: Word,
-        x1_hat: Word,
-        u1_hat: Bits,
-        y2_bar: tuple[int | None, ...],
-        x2_hat: Word,
-        u2_hat: Bits,
-        x_hat: Word,
-    ) -> None:
-        object.__setattr__(self, "y1_bar", y1_bar)
-        object.__setattr__(self, "x1_hat", x1_hat)
-        object.__setattr__(self, "u1_hat", u1_hat)
-        object.__setattr__(self, "y2_bar", y2_bar)
-        object.__setattr__(self, "x2_hat", x2_hat)
-        object.__setattr__(self, "u2_hat", u2_hat)
-        object.__setattr__(self, "x_hat", x_hat)
 
 
 class _MessageMap:

@@ -77,6 +77,8 @@ def _check_support(support: Sequence[int], n: int) -> None:
 class ConstructionPlan(Record):
     """Outer binary code plus one inner code per outer codeword weight.
 
+    The inner codes, given as a mapping from weight to code, are kept as
+    (weight, code) pairs sorted by weight, so a plan hashes and cannot change.
     The outer code needs minimum Hamming distance >= dbmin and every inner
     code needs minimum Hamming distance >= ceil(dbmin / 2); validate() checks
     both by direct computation rather than trusting labels. Weight 0 is always
@@ -92,10 +94,7 @@ class ConstructionPlan(Record):
             raise ValueError(f"target alphabet must be at least 3, got {q}")
         if dbmin < 1:
             raise ValueError(f"target minimum distance must be >= 1, got {dbmin}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", dict(inner))
-        object.__setattr__(self, "dbmin", dbmin)
-        object.__setattr__(self, "q", q)
+        super().__init__(outer, tuple(sorted(dict(inner).items())), dbmin, q)
 
     @property
     def inner_min_distance(self) -> int:
@@ -105,8 +104,9 @@ class ConstructionPlan(Record):
         return weight_enumerator(self.outer)
 
     def inner_for(self, weight: int) -> Code:
-        if weight in self.inner:
-            return self.inner[weight]
+        for w, code in self.inner:
+            if w == weight:
+                return code
         if weight == 0:
             return Code(self.q - 1, 0, frozenset({Word(self.q - 1, ())}))
         raise PlanError(f"no inner code for outer weight {weight}")

@@ -127,9 +127,7 @@ class Code(Record):
                 raise ValueError(f"word alphabet {w.q} differs from code alphabet {q}")
             if len(w) != n:
                 raise ValueError(f"word length {len(w)} differs from block length {n}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
+        super().__init__(q, n, words)
         object.__setattr__(self, "_index", None)
 
     @classmethod
@@ -386,8 +384,7 @@ class WeightEnumerator(Record):
             raise ValueError(f"expected {n + 1} counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ValueError("weight counts must be non-negative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", counts)
+        super().__init__(n, counts)
 
     @property
     def total(self) -> int:

@@ -23,13 +23,6 @@ class DecodeResult(Record):
 
     __slots__ = ("chosen", "minimizers", "distance")
 
-    def __init__(
-        self, chosen: Word | None, minimizers: frozenset[Word], distance: float
-    ) -> None:
-        object.__setattr__(self, "chosen", chosen)
-        object.__setattr__(self, "minimizers", minimizers)
-        object.__setattr__(self, "distance", distance)
-
     @property
     def undecodable(self) -> bool:
         return self.chosen is None
@@ -82,16 +75,6 @@ class SimReport(Record):
     """Counts from a Monte Carlo word-error run; correct + errors + undecodable = trials."""
 
     __slots__ = ("trials", "word_errors", "undecodable", "p", "decoder", "seed")
-
-    def __init__(
-        self, trials: int, word_errors: int, undecodable: int, p: float, decoder: str, seed: int
-    ) -> None:
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "word_errors", word_errors)
-        object.__setattr__(self, "undecodable", undecodable)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "decoder", decoder)
-        object.__setattr__(self, "seed", seed)
 
     @property
     def correct(self) -> int:

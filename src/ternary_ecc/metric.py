@@ -30,12 +30,6 @@ class AgreementProfile(Record):
 
     __slots__ = ("s0", "s1", "s2", "s3")
 
-    def __init__(self, s0: int, s1: int, s2: int, s3: int) -> None:
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "s3", s3)
-
     @property
     def n(self) -> int:
         return self.s0 + self.s1 + self.s2 + self.s3
@@ -113,10 +107,6 @@ class LikelihoodBounds(Record):
     """Extreme transition probabilities over words at a fixed dist_a from y."""
 
     __slots__ = ("lower", "upper")
-
-    def __init__(self, lower: float, upper: float) -> None:
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
 
 def likelihood_bounds(n: int, w_y: int, d: int, p: float) -> LikelihoodBounds:

@@ -37,20 +37,7 @@ class SearchGraph(Record):
     """
 
     __slots__ = ("vertices", "weights", "adj", "dbmin", "word_symmetry")
-
-    def __init__(
-        self,
-        vertices: tuple[Word, ...],
-        weights: tuple[int, ...],
-        adj: tuple[int, ...],
-        dbmin: int,
-        word_symmetry: bool = False,
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "dbmin", dbmin)
-        object.__setattr__(self, "word_symmetry", word_symmetry)
+    _defaults = {"word_symmetry": False}
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
@@ -60,20 +47,7 @@ class CliqueResult(Record):
     """A clique and its weighted size; exact marks exhaustively proven optima."""
 
     __slots__ = ("members", "total_weight", "exact", "seed", "iterations")
-
-    def __init__(
-        self,
-        members: tuple[Word, ...],
-        total_weight: int,
-        exact: bool,
-        seed: int | None = None,
-        iterations: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "total_weight", total_weight)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "iterations", iterations)
+    _defaults = {"seed": None, "iterations": None}
 
     @property
     def size(self) -> int:

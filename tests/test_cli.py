@@ -59,12 +59,12 @@ def plan_files(tmp_path):
 def _save_plan(plan, directory: Path) -> Path:
     """Save a plan's component codes and its JSON file into directory."""
     save_code(plan.outer, directory / "outer.code")
-    for weight, code in plan.inner.items():
+    for weight, code in plan.inner:
         save_code(code, directory / f"w{weight}.code")
     plan_path = directory / "plan.json"
     plan_path.write_text(json.dumps({
         "q": 3, "dbmin": plan.dbmin, "outer": "outer.code",
-        "inner": {str(weight): f"w{weight}.code" for weight in plan.inner},
+        "inner": {str(weight): f"w{weight}.code" for weight, _ in plan.inner},
     }), encoding="ascii")
     return plan_path
 

@@ -35,8 +35,7 @@ def _pinned():
         (ChannelSpec(3, 0.1), "ChannelSpec(q=3, p=0.1)"),
         (
             CapacityResult(0.5, 0.25),
-            "CapacityResult(capacity_trits=0.5, p0_star=0.25, lam=None, "
-            "method='closed-form', log_base=3)",
+            "CapacityResult(capacity_trits=0.5, p0_star=0.25, lam=None, log_base=3)",
         ),
         (
             BlockTrace((1,), one, (0,), Word(2, (0,)), Word(3, (1,))),
@@ -52,7 +51,7 @@ def _pinned():
         (
             ConstructionPlan(outer, inner, 1),
             "ConstructionPlan(outer=Code(q=2, n=1, words=frozenset({Word(q=2, symbols=(1,))})), "
-            "inner={1: Code(q=2, n=1, words=frozenset({Word(q=2, symbols=(0,))}))}, "
+            "inner=((1, Code(q=2, n=1, words=frozenset({Word(q=2, symbols=(0,))}))),), "
             "dbmin=1, q=3)",
         ),
         (
@@ -81,17 +80,9 @@ PINNED = _pinned()
 IDS = [type(instance).__name__ for instance, _ in PINNED]
 
 
-def _fields(record) -> tuple[str, ...]:
-    """The record's field names: its constructor's parameters."""
-    return tuple(inspect.signature(type(record)).parameters)
-
-
-def _hash_or_none(record):
-    """The record's hash, or None for one holding a dict (ConstructionPlan)."""
-    try:
-        return hash(record)
-    except TypeError:
-        return None
+def _values(record) -> tuple:
+    """The record's field values, in field order."""
+    return tuple(getattr(record, name) for name in record._fields)
 
 
 @pytest.mark.parametrize("instance, text", PINNED, ids=IDS)
@@ -108,11 +99,11 @@ class TestRecords:
         again = duplicate(instance)
         assert type(again) is type(instance)
         assert again == instance and not again != instance
-        assert _hash_or_none(again) == _hash_or_none(instance)
+        assert hash(again) == hash(instance)
         assert repr(again) == text
 
     def test_fields_refuse_assignment_and_deletion(self, instance, text):
-        for name in _fields(instance):
+        for name in instance._fields:
             value = getattr(instance, name)
             with pytest.raises(AttributeError):
                 setattr(instance, name, value)
@@ -126,11 +117,46 @@ class TestRecords:
         assert instance != text
         assert instance.__eq__(text) is NotImplemented
 
+    def test_class_rebuilds_from_its_field_values(self, instance, text):
+        # pickling and copying call the class with the field values in order
+        values = _values(instance)
+        assert type(instance)(*values) == instance
+        assert type(instance)(**dict(zip(instance._fields, values))) == instance
+
 
 def test_record_fields_are_the_constructor_arguments():
-    # pickling and copying call the class with the field values in order
+    # a record that validates keeps its own __init__; its parameters are the fields
+    own = [i for i, _ in PINNED if "__init__" in type(i).__dict__]
+    assert {type(i).__name__ for i in own} == {
+        "Word", "Code", "WeightEnumerator", "ChannelSpec", "ConstructionPlan"
+    }
+    for instance in own:
+        params = tuple(inspect.signature(type(instance)).parameters)
+        assert params == instance._fields, type(instance).__name__
+
+
+def test_defaults_name_trailing_fields():
     for instance, _ in PINNED:
-        assert _fields(instance) == instance._fields, type(instance).__name__
+        fields, defaults = instance._fields, type(instance)._defaults
+        assert set(defaults) == set(fields[len(fields) - len(defaults):])
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [(CliqueResult, ((), 0, True, None, None)), (SimReport, (10, 2, 1, 0.1, "da", 7))],
+    ids=["CliqueResult", "SimReport"],
+)
+def test_generic_binding_refuses_what_python_refuses(cls, values):
+    refused = rf"^{cls.__name__}\({', '.join(map(repr, cls._fields))}\) cannot take "
+    required = len([f for f in cls._fields if f not in cls._defaults])
+    with pytest.raises(TypeError, match=refused):
+        cls(*values, None)  # one positional argument too many
+    with pytest.raises(TypeError, match=refused):
+        cls(*values, extra=1)  # an unknown keyword
+    with pytest.raises(TypeError, match=refused):
+        cls(*values, **{cls._fields[0]: values[0]})  # a field given both ways
+    with pytest.raises(TypeError, match=refused):
+        cls(*values[: required - 1])  # a missing field without a default
 
 
 def test_code_equality_ignores_its_index():
@@ -149,7 +175,19 @@ def test_records_hash_as_their_field_tuples():
     # a record hashes as its field tuple, so sets and dicts of records keep
     # the iteration order they had under the dataclass hash
     for instance, _ in PINNED:
-        if _hash_or_none(instance) is not None:
-            values = tuple(getattr(instance, name) for name in _fields(instance))
-            assert hash(instance) == hash(values), type(instance).__name__
+        assert hash(instance) == hash(_values(instance)), type(instance).__name__
+
+
+def test_construction_plan_is_a_value():
+    outer = Code(2, 2, frozenset({Word(2, (1, 1))}))
+    codes = {2: Code(2, 2, frozenset({Word(2, (0, 1))})), 0: Code(2, 0, frozenset({Word(2, ())}))}
+    plan = ConstructionPlan(outer, codes, 1)
+    assert plan.inner == ((0, codes[0]), (2, codes[2]))
+    with pytest.raises(TypeError):
+        plan.inner[2] = codes[0]
+    codes[2] = codes[0]  # the caller's mapping is not the plan's
+    assert plan.inner_for(2) == Code(2, 2, frozenset({Word(2, (0, 1))}))
+    again = ConstructionPlan(outer, dict(reversed(plan.inner)), 1)
+    assert again == plan and hash(again) == hash(plan)
+    assert len({plan, again}) == 1
 
